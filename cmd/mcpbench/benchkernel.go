@@ -25,9 +25,9 @@ import (
 // e6Reference pins the E6 closed-loop allocation counts measured with
 // `go test -bench=E6_Throughput -benchmem` at seed 1, HorizonS 900:
 // the pre-optimization baseline, the first pooled-kernel pass (event
-// and waiter free lists), and the second pass that landed with the
-// lane kernel (lock-frame and lock-resource recycling in mgmt, parked
-// process-goroutine reuse in sim, deploy-frame pooling in clouddir).
+// and waiter free lists), and the second pass (lock-frame and
+// lock-resource recycling in mgmt, parked process-goroutine reuse in
+// sim, deploy-frame pooling in clouddir).
 var e6Reference = struct {
 	BaselineAllocsPerOp int64   `json:"baseline_allocs_per_op"`
 	BaselineBytesPerOp  int64   `json:"baseline_bytes_per_op"`
@@ -59,6 +59,7 @@ type benchReport struct {
 	GoVersion string       `json:"go_version"`
 	GOOS      string       `json:"goos"`
 	GOARCH    string       `json:"goarch"`
+	NumCPU    int          `json:"nproc"`
 	Seed      int64        `json:"seed"`
 	Results   []benchEntry `json:"results"`
 	E6        interface{}  `json:"e6_closed_loop_reference"`
@@ -103,6 +104,32 @@ func kernelBenches(seed int64) []struct {
 				tm.Stop()
 			}
 		}},
+		{"kernel/switch", func(b *testing.B) {
+			// Two processes alternating on a queue: each op passes the
+			// baton twice, once each way.
+			env := sim.NewEnv()
+			q := sim.NewQueue(env)
+			stop := false
+			env.Go("producer", func(p *sim.Proc) {
+				for !stop {
+					q.Put(1)
+					p.Sleep(1)
+				}
+			})
+			env.Go("consumer", func(p *sim.Proc) {
+				for !stop {
+					q.Get(p)
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			env.Schedule(sim.Time(b.N), func() { stop = true; env.Stop() })
+			env.Run(sim.Forever)
+			b.StopTimer()
+			stop = true
+			q.Put(1)
+			env.Run(sim.Forever)
+		}},
 		{"kernel/resource_cycle", func(b *testing.B) {
 			env := sim.NewEnv()
 			res := sim.NewResource(env, "r", 1)
@@ -134,36 +161,6 @@ func kernelBenches(seed int64) []struct {
 				}
 			}
 		}},
-		// The lanes dimension: the same sharded closed loop under the
-		// single-heap kernel and the lane-partitioned kernel. Artifacts
-		// are identical at every lane count (pinned by the determinism
-		// tests), so these rows measure pure kernel overhead/benefit —
-		// lanes=1 is the no-regression baseline.
-		{"lanes1/closed_loop", lanesClosedLoop(seed, 1)},
-		{"lanes2/closed_loop", lanesClosedLoop(seed, 2)},
-		{"lanes4/closed_loop", lanesClosedLoop(seed, 4)},
-	}
-}
-
-// lanesClosedLoop builds one lanes-dimension bench: a 4-shard,
-// 32-client linked-clone closed loop with the kernel partitioned into
-// the given lane count (1 = the single-heap kernel, byte-identical
-// output either way).
-func lanesClosedLoop(seed int64, lanes int) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cfg := core.DefaultConfig(seed)
-			cfg.Director.FastProvisioning = true
-			cfg.Director.RebalanceThreshold = 0
-			cfg.Plane.Shards = 4
-			if lanes > 1 {
-				cfg.Lanes = lanes
-			}
-			if _, err := core.RunClosedLoop(cfg, 32, 300, 30); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }
 
@@ -176,6 +173,7 @@ func benchKernel(w io.Writer, outPath string, seed int64) error {
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
 		Seed:      seed,
 		E6:        e6Reference,
 	}

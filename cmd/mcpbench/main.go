@@ -5,13 +5,12 @@
 // worker count at a fixed seed. E17 (fault injection), E18
 // (management-plane scale-out), E19 (inventory scale ladder), and E20
 // (reconciliation interference) are opt-in via -only, -faults, -shards,
-// -scale, or -reconcile and never change the default artifact; E23
-// (lane-kernel wall-clock grid) is opt-in via -only E23.
+// -scale, or -reconcile and never change the default artifact.
 //
 //	mcpbench                 # full-scale horizons (minutes of wall time)
 //	mcpbench -quick          # CI-scale horizons (seconds)
 //	mcpbench -seed 7         # different random universe
-//	mcpbench -only E6        # one experiment (E1..E23)
+//	mcpbench -only E6        # one experiment (E1..E22)
 //	mcpbench -only E22       # serving-surface load grid (wall-clock, see internal/api)
 //	mcpbench -workers 1      # serial execution (same output, more wall time)
 //	mcpbench -progress       # completion ticks on stderr
@@ -22,8 +21,6 @@
 //	mcpbench -scale 1000000  # E19 ladder, inventories {1e3, 1e4, 1e5, 1e6}
 //	mcpbench -reconcile      # E20 reconciliation interference grid
 //	mcpbench -reconcile-interval 60 -reconcile-depth 4   # E20, custom grid
-//	mcpbench -shards 4 -lanes 4 # E18 grid on the lane-partitioned kernel
-//	mcpbench -only E23       # lane-kernel wall-clock grid + identity digest
 //
 // Performance instrumentation (reproducible-profiling hooks):
 //
@@ -58,7 +55,7 @@ func main() {
 	api.RegisterE22()
 	seed := flag.Int64("seed", 1, "master random seed")
 	quick := flag.Bool("quick", false, "run shortened horizons")
-	only := flag.String("only", "", "run a single experiment (E1..E23)")
+	only := flag.String("only", "", "run a single experiment (E1..E22)")
 	workers := flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 	progress := flag.Bool("progress", false, "print per-experiment completion to stderr")
 	showMetrics := flag.Bool("metrics", false, "run an instrumented closed-loop probe at the E6 crossover and print per-layer metrics")
@@ -66,8 +63,6 @@ func main() {
 	withFaults := flag.Bool("faults", false, "run E17: goodput and latency under injected control-plane faults")
 	faultRate := flag.Float64("fault-rate", 0, "highest injected fault rate for E17's sweep grid (0 = default grid; implies -faults)")
 	shards := flag.Int("shards", 0, "run E18: management-plane scale-out, sweeping shard counts up to this power of two (0 = off)")
-	lanes := flag.Int("lanes", 0, "event lanes per simulated cloud for E18/E23 (0 or 1 = single-heap kernel; artifacts identical at any count)")
-	laneWorkers := flag.Int("lane-workers", 0, "barrier-merge worker goroutines per laned cloud (0 = one per lane)")
 	scaleTo := flag.Int("scale", 0, "run E19: inventory scale ladder, sweeping prepopulated-VM counts in powers of ten up to this size (0 = off)")
 	withReconcile := flag.Bool("reconcile", false, "run E20: foreground goodput under the always-on reconciliation plane")
 	recInterval := flag.Float64("reconcile-interval", 0, "finest resync interval for E20's sweep grid in seconds (0 = default grid; implies -reconcile)")
@@ -86,12 +81,6 @@ func main() {
 	}
 	if *shards < 0 {
 		fatal(fmt.Errorf("-shards must be >= 0, got %d", *shards))
-	}
-	if *lanes < 0 {
-		fatal(fmt.Errorf("-lanes must be >= 0, got %d", *lanes))
-	}
-	if *laneWorkers < 0 {
-		fatal(fmt.Errorf("-lane-workers must be >= 0, got %d", *laneWorkers))
 	}
 	if err := validateScaleFlag(*scaleTo, *benchInvOut); err != nil {
 		fatal(err)
@@ -136,7 +125,7 @@ func main() {
 		seed: *seed, quick: *quick, only: *only, workers: *workers,
 		progress: *progress, showMetrics: *showMetrics, metricsOut: *metricsOut,
 		withFaults: *withFaults, faultRate: *faultRate, shards: *shards,
-		scaleTo: *scaleTo, lanes: *lanes, laneWorkers: *laneWorkers,
+		scaleTo:   *scaleTo,
 		reconcile: reconcileOn, recIntervalS: *recInterval, recDepth: *recDepth,
 		benchOut: *benchOut, benchInvOut: *benchInvOut,
 	})
@@ -163,8 +152,6 @@ type options struct {
 	faultRate   float64
 	shards      int
 	scaleTo     int
-	lanes       int
-	laneWorkers int
 
 	reconcile    bool
 	recIntervalS float64
@@ -188,7 +175,7 @@ func run(w io.Writer, o options) error {
 	case o.scaleTo > 0:
 		return scaleBench(w, o.seed, o.quick, o.workers, o.scaleTo)
 	case o.shards > 0:
-		return shardsBench(w, o.seed, o.quick, o.workers, o.shards, o.lanes, o.laneWorkers)
+		return shardsBench(w, o.seed, o.quick, o.workers, o.shards)
 	case o.reconcile:
 		return reconcileBench(w, o.seed, o.quick, o.workers, o.recIntervalS, o.recDepth)
 	case o.withFaults || o.faultRate > 0:
@@ -232,7 +219,7 @@ func writeHeapProfile(path string) error {
 // shared and per-shard database modes, plus the cross-shard
 // coordination leg. max bounds the grid: shard counts are the powers of
 // two up to max (so -shards 8 sweeps {1, 2, 4, 8}).
-func shardsBench(w io.Writer, seed int64, quick bool, workers, max, lanes, laneWorkers int) error {
+func shardsBench(w io.Writer, seed int64, quick bool, workers, max int) error {
 	scale := 1.0
 	if quick {
 		scale = 0.1
@@ -243,7 +230,6 @@ func shardsBench(w io.Writer, seed int64, quick bool, workers, max, lanes, laneW
 	}
 	res, err := core.RunE18(core.E18Params{
 		Seed: seed, ShardCounts: counts, HorizonS: 1800 * scale, Workers: workers,
-		Lanes: lanes, LaneWorkers: laneWorkers,
 	})
 	if err != nil {
 		return err

@@ -118,6 +118,21 @@ func TestLoadConfigRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// The lane kernel is gone; a scenario that still sets its keys must fail
+// to load with an error naming the key rather than being silently
+// ignored.
+func TestLanesConfigWire(t *testing.T) {
+	for _, key := range []string{"lanes", "laneWorkers"} {
+		_, err := LoadConfig(strings.NewReader(`{"` + key + `": 4}`))
+		if err == nil {
+			t.Fatalf("removed key %q accepted", key)
+		}
+		if !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Fatalf("error for removed key %q does not name it: %v", key, err)
+		}
+	}
+}
+
 func TestWriteDefaultConfigRoundTrips(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteDefaultConfig(&buf, 7); err != nil {

@@ -6,8 +6,14 @@ package core
 // and a multi-shard run must itself be reproducible run-to-run.
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"cloudmcp/internal/faults"
+	"cloudmcp/internal/reconcile"
+	"cloudmcp/internal/trace"
+	"cloudmcp/internal/workload"
 )
 
 func e18Quick(workers int) E18Params {
@@ -63,5 +69,46 @@ func TestE18CrossShardAccounting(t *testing.T) {
 	}
 	if two.CrossShare <= 0 || two.CrossShare >= 100 {
 		t.Fatalf("cross share %.1f%% out of range", two.CrossShare)
+	}
+}
+
+// A four-shard cloud with fault injection and every reconcile controller
+// is the busiest mix of processes, timers and cross-shard coordination
+// the kernel runs; two runs must agree byte for byte on the operation
+// trace and the controller stats.
+func TestShardedArtifactsReproducible(t *testing.T) {
+	run := func() ([]byte, []reconcile.Stats) {
+		cfg := DefaultConfig(1)
+		cfg.Plane.Shards = 4
+		fc := faults.Preset(0.1)
+		cfg.Faults = &fc
+		rc := reconcile.DefaultConfig()
+		rc.Controllers = reconcile.ControllerNames()
+		cfg.Reconcile = &rc
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RunProfile(workload.CloudA(), Hour); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteCSV(&buf, c.Records()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), c.ReconcileStats()
+	}
+	aTrace, aStats := run()
+	bTrace, bStats := run()
+	if len(aTrace) == 0 || !bytes.Equal(aTrace, bTrace) {
+		t.Fatal("sharded fault+reconcile runs diverged (or recorded nothing)")
+	}
+	if len(aStats) != len(bStats) {
+		t.Fatalf("stats length diverged: %d vs %d", len(aStats), len(bStats))
+	}
+	for i := range aStats {
+		if aStats[i] != bStats[i] {
+			t.Fatalf("controller %q stats diverged:\n%+v\n%+v", aStats[i].Controller, aStats[i], bStats[i])
+		}
 	}
 }

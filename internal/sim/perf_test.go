@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -118,6 +119,95 @@ func TestResourceAcquireAllocFree(t *testing.T) {
 	}
 }
 
+func TestQueueGetAllocFree(t *testing.T) {
+	// A consumer blocked in Get and a producer feeding it: the getter
+	// record is recycled and the item and getter FIFOs reuse their
+	// backing arrays, so the steady-state cycle allocates nothing.
+	env := NewEnv()
+	q := NewQueue(env)
+	var allocs float64
+	env.Go("consumer", func(p *Proc) {
+		for q.Get(p) != nil {
+		}
+	})
+	env.Go("producer", func(p *Proc) {
+		cycle := func() {
+			q.Put(1) // wakes the blocked consumer
+			q.Put(2) // buffered: the consumer has not run yet
+			p.Sleep(1)
+		}
+		cycle() // warm the getter pool and both arrays
+		allocs = testing.AllocsPerRun(100, cycle)
+		q.Put(nil)
+	})
+	env.Run(Forever)
+	if allocs != 0 {
+		t.Fatalf("Queue Put/Get steady state allocates %.1f/op, want 0", allocs)
+	}
+	if env.LiveProcs() != 0 {
+		t.Fatalf("leaked %d procs", env.LiveProcs())
+	}
+}
+
+func TestGoAllocFree(t *testing.T) {
+	// Spawning a process and running it to completion reuses a finished
+	// shell (Proc, resume channel and goroutine) and schedules its start
+	// as a plain wake event, so a warmed Env allocates nothing.
+	env := NewEnv()
+	body := func(p *Proc) { p.Sleep(1) }
+	env.Go("warm", body)
+	env.Run(Forever)
+	allocs := testing.AllocsPerRun(100, func() {
+		env.Go("p", body)
+		env.Run(Forever)
+	})
+	if allocs != 0 {
+		t.Fatalf("Go+Run steady state allocates %.1f/op, want 0", allocs)
+	}
+}
+
+func TestShellsBoundGoroutines(t *testing.T) {
+	// 10^4 sequential short-lived processes run on a handful of reused
+	// shells, not on 10^4 goroutines.
+	env := NewEnv()
+	before := runtime.NumGoroutine()
+	peak := 0
+	env.Go("spawner", func(p *Proc) {
+		for i := 0; i < 10_000; i++ {
+			env.Go("child", func(q *Proc) { q.Sleep(0.5) })
+			p.Sleep(1)
+			if n := runtime.NumGoroutine(); n > peak {
+				peak = n
+			}
+		}
+	})
+	env.Run(Forever)
+	if grew := peak - before; grew > 4 {
+		t.Fatalf("goroutines grew by %d over 10^4 sequential processes, want <= 4", grew)
+	}
+	if env.LiveProcs() != 0 {
+		t.Fatalf("leaked %d procs", env.LiveProcs())
+	}
+}
+
+func TestGoBeforeRunStartsNoGoroutine(t *testing.T) {
+	// A shell's goroutine starts when the baton first reaches it, so
+	// building a model (which spawns its long-lived processes) creates
+	// no goroutines before Run.
+	env := NewEnv()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		env.Go("idle", func(p *Proc) {})
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("Go started %d goroutines before Run", n-before)
+	}
+	env.Run(Forever)
+	if env.LiveProcs() != 0 {
+		t.Fatalf("leaked %d procs", env.LiveProcs())
+	}
+}
+
 // Same-time FIFO queue: ordering must match the heap exactly when events
 // at the current instant interleave with earlier-scheduled events at the
 // same timestamp, including cancellations.
@@ -213,7 +303,7 @@ func BenchmarkKernelHeapSchedule(b *testing.B) {
 
 func BenchmarkKernelProcessPingPong(b *testing.B) {
 	// Two processes alternating on a queue: the classic block/resume
-	// cycle, two goroutine handoffs plus one wakeup event per Put/Get.
+	// cycle, two baton handoffs (one each way) per Put/Get.
 	env := NewEnv()
 	q := NewQueue(env)
 	stop := false

@@ -2,22 +2,41 @@
 //
 // The kernel advances a virtual clock through a time-ordered event heap.
 // Model logic is written as processes: ordinary functions that run on their
-// own goroutine but are scheduled cooperatively, one at a time, by the
-// kernel. A process blocks by sleeping, acquiring a Resource, or waiting on
-// a Queue or Signal; while it is blocked the kernel runs other events. At
-// most one process executes at any instant, so model code needs no locking
-// and — together with seeded randomness from package rng — a simulation run
-// is fully deterministic: the same inputs produce the same event order and
-// the same results.
+// own goroutine but are scheduled cooperatively, one at a time. A process
+// blocks by sleeping, acquiring a Resource, or waiting on a Queue or
+// Signal; while it is blocked other events run. At most one goroutine
+// executes model code at any instant, so model code needs no locking and —
+// together with seeded randomness from package rng — a simulation run is
+// fully deterministic: the same inputs produce the same event order and the
+// same results.
 //
 // Time is measured in seconds of virtual time as a float64 (type Time).
+//
+// # Baton passing
+//
+// There is no kernel goroutine. Control is a baton held by exactly one
+// goroutine at a time — Run's caller or one process — and whoever holds
+// it runs the event loop itself: callback events fire inline on the
+// holder's stack, and the loop stops at the first process wakeup. A
+// process that blocks keeps the baton until then; if the wakeup is its
+// own it simply continues, otherwise it hands the baton to the woken
+// process with one channel send and parks. When the run ends (horizon,
+// Stop, or an empty queue) the holder hands the baton back to Run's
+// caller. A wakeup therefore costs at most one goroutine switch, and none
+// when a process wakes itself.
+//
+// A consequence: a panic in a callback unwinds whichever goroutine holds
+// the baton, which may be a process goroutine rather than Run's caller, so
+// Run's caller cannot recover it. Production code never recovers kernel
+// panics; they are invariant violations and crash the program.
 //
 // # Performance
 //
 // The kernel is the hot path of every experiment, so its steady state is
 // allocation-free: fired events are recycled through a per-Env free list,
-// process wakeups are direct event fields rather than closures, and events
-// scheduled at the current instant bypass the heap through a FIFO
+// process wakeups (spawns included) are direct event fields rather than
+// closures, finished process shells are reused with their goroutines, and
+// events scheduled at the current instant bypass the heap through a FIFO
 // same-time queue (wakeups and zero-delay chains are the most common
 // events by far). None of this changes the execution order, which remains
 // exactly (time, sequence)-ordered; the determinism tests pin that down.
@@ -52,11 +71,9 @@ const Forever Time = math.MaxFloat64
 
 // event index markers (event.idx values outside the heap).
 const (
-	idxPopped         = -1 // fired, cancelled from the heap, or free
-	idxNowQ           = -2 // waiting in the same-time FIFO queue
-	idxNowQStopped    = -3 // cancelled while in the same-time queue
-	idxMailbox        = -4 // parked in a cross-lane mailbox (see lanes.go)
-	idxMailboxStopped = -5 // cancelled while in a mailbox
+	idxPopped      = -1 // fired, cancelled from the heap, or free
+	idxNowQ        = -2 // waiting in the same-time FIFO queue
+	idxNowQStopped = -3 // cancelled while in the same-time queue
 )
 
 // event is a scheduled callback. Events are pooled: after firing (or being
@@ -65,13 +82,12 @@ const (
 // distinguishes incarnations so a stale Timer cannot cancel the recycled
 // event.
 type event struct {
-	at   Time
-	seq  int64 // tie-break: FIFO among simultaneous events
-	fn   func()
-	p    *Proc  // when non-nil, the event resumes p instead of calling fn
-	idx  int    // heap index, or one of the idx* markers
-	gen  uint64 // incremented every time the event is recycled
-	lane int32  // owning lane when lanes are configured (see lanes.go)
+	at  Time
+	seq int64 // tie-break: FIFO among simultaneous events
+	fn  func()
+	p   *Proc  // when non-nil, the event resumes p instead of calling fn
+	idx int    // heap index, or one of the idx* markers
+	gen uint64 // incremented every time the event is recycled
 }
 
 type eventHeap []*event
@@ -105,14 +121,16 @@ func (h *eventHeap) Pop() any {
 
 // Env is a simulation environment: a virtual clock plus an event heap.
 // Create one with NewEnv; it is not safe for concurrent use from outside
-// the simulation (all model code runs under the kernel's cooperative
-// scheduler, which provides the necessary serialization).
+// the simulation (all model code runs under the baton, which provides the
+// necessary serialization).
 type Env struct {
 	now     Time
 	heap    eventHeap
 	seq     int64
 	running bool
 	stopped bool
+	until   Time  // horizon of the current Run
+	nev     int64 // events fired, counted only when debugEvents is set
 
 	// nowq is the same-time fast path: a FIFO of events scheduled at the
 	// current instant. Entries are appended with non-decreasing (at, seq),
@@ -125,35 +143,27 @@ type Env struct {
 	// free is the event free list; see the event type.
 	free []*event
 
-	// procDone is signaled by a process goroutine whenever it blocks or
-	// terminates, returning control to the kernel loop.
-	procDone chan struct{}
+	// kernel is where Run's caller parks while processes hold the baton;
+	// the holder sends on it when the run ends.
+	kernel chan struct{}
 
-	// nproc counts live (started, not yet finished) processes, for leak
+	// nproc counts live (spawned, not yet finished) processes, for leak
 	// detection in tests.
 	nproc int
 
 	// procFree holds finished process shells whose goroutines are parked
-	// on their resume channels, awaiting a next life (see startProc).
+	// on their resume channels, awaiting a next life (see Go).
 	procFree []*Proc
 
 	// metrics is the optional instrumentation registry resources and
 	// model layers report into; nil (the default) disables collection at
 	// zero cost.
 	metrics *metrics.Registry
-
-	// Lane state (see lanes.go). lanes is nil until ConfigureLanes
-	// partitions the heap; every lane-aware branch below is guarded on
-	// that nil, so the single-heap path is untouched when lanes are off.
-	lanes     []lane
-	laneCfg   LaneConfig
-	curLane   int32 // lane of the currently firing event
-	windowEnd Time  // current conservative window's end (+Inf outside windows)
 }
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{procDone: make(chan struct{})}
+	return &Env{kernel: make(chan struct{})}
 }
 
 // Now returns the current virtual time in seconds.
@@ -189,34 +199,9 @@ func (e *Env) newEvent(at Time, fn func(), p *Proc) *event {
 	if at == e.now && (e.nowqHead == len(e.nowq) || e.nowq[len(e.nowq)-1].at <= at) {
 		ev.idx = idxNowQ
 		e.nowq = append(e.nowq, ev)
-		if e.lanes != nil {
-			ev.lane = e.eventLane(p)
-		}
 		return ev
 	}
-	if e.lanes == nil {
-		heap.Push(&e.heap, ev)
-		return ev
-	}
-	// Lane routing for future-dated events: lane-local events go straight
-	// to the lane's heap; cross-lane events at or beyond the current
-	// window's end are parked in the target lane's mailbox for the next
-	// barrier merge (an O(1) append), and cross-lane events *inside* the
-	// window fall back to a direct heap insert — always correct, counted
-	// as a violation of the conservative-window assumption.
-	ln := e.eventLane(p)
-	ev.lane = ln
-	if ln != e.curLane {
-		if at >= e.windowEnd {
-			ev.idx = idxMailbox
-			e.lanes[ln].mbox = append(e.lanes[ln].mbox, ev)
-			return ev
-		}
-		if !math.IsInf(e.windowEnd, 1) {
-			e.lanes[ln].stats.Violations++
-		}
-	}
-	heap.Push(e.laneHeap(ln), ev)
+	heap.Push(&e.heap, ev)
 	return ev
 }
 
@@ -224,7 +209,6 @@ func (e *Env) newEvent(at Time, fn func(), p *Proc) *event {
 func (e *Env) release(ev *event) {
 	ev.fn, ev.p = nil, nil
 	ev.idx = idxPopped
-	ev.lane = 0
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -247,9 +231,6 @@ func (e *Env) peek() *event {
 		e.nowq = e.nowq[:0]
 		e.nowqHead = 0
 	}
-	if e.lanes != nil {
-		return e.peekLanes(front)
-	}
 	if len(e.heap) == 0 {
 		return front
 	}
@@ -269,10 +250,6 @@ func (e *Env) pop(ev *event) {
 		ev.idx = idxPopped
 		return
 	}
-	if e.lanes != nil && ev.lane != 0 {
-		heap.Pop(&e.lanes[ev.lane].heap)
-		return
-	}
 	heap.Pop(&e.heap)
 }
 
@@ -288,9 +265,9 @@ func (e *Env) Schedule(delay Time, fn func()) Timer {
 }
 
 // scheduleWake registers an event that resumes p after delay seconds.
-// Equivalent to Schedule(delay, func() { e.wake(p) }) without the closure
-// allocation; this is the kernel's internal path for every blocking
-// primitive (Sleep, Resource, Queue, Signal).
+// It carries the process on the event instead of a closure, so it does
+// not allocate; this is the kernel's internal path for every spawn and
+// every blocking primitive (Sleep, Resource, Queue, Signal).
 func (e *Env) scheduleWake(delay Time, p *Proc) {
 	e.newEvent(e.now+delay, nil, p)
 }
@@ -309,7 +286,7 @@ type Timer struct {
 // Schedule; the generation check makes sure this timer still refers to
 // its own incarnation.
 func (t Timer) pending() bool {
-	return t.ev != nil && t.ev.gen == t.gen && (t.ev.idx >= 0 || t.ev.idx == idxNowQ || t.ev.idx == idxMailbox)
+	return t.ev != nil && t.ev.gen == t.gen && (t.ev.idx >= 0 || t.ev.idx == idxNowQ)
 }
 
 // Stop cancels the timer's event if it has not fired yet. It reports
@@ -327,19 +304,7 @@ func (t Timer) Stop() bool {
 		t.env.nowqDead++
 		return true
 	}
-	if ev.idx == idxMailbox {
-		// Parked in a cross-lane mailbox: mark the slot dead; the next
-		// barrier merge reclaims it.
-		ev.fn, ev.p = nil, nil
-		ev.idx = idxMailboxStopped
-		t.env.lanes[ev.lane].mboxDead++
-		return true
-	}
-	if t.env.lanes != nil && ev.lane != 0 {
-		heap.Remove(&t.env.lanes[ev.lane].heap, ev.idx)
-	} else {
-		heap.Remove(&t.env.heap, ev.idx)
-	}
+	heap.Remove(&t.env.heap, ev.idx)
 	t.env.release(ev)
 	return true
 }
@@ -362,41 +327,21 @@ func (e *Env) Stop() { e.stopped = true }
 // Run executes events in time order until the heap drains, the clock would
 // pass until, or Stop is called. It returns the final virtual time. Events
 // scheduled exactly at until still run.
+//
+// Run's goroutine holds the baton first: it fires callbacks itself and,
+// at the first process wakeup, hands the baton to that process and parks
+// until some holder ends the run.
 func (e *Env) Run(until Time) Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
 	e.stopped = false
+	e.until = until
 	defer func() { e.running = false }()
-	if e.lanes != nil {
-		return e.runLanes(until)
-	}
-	var nev int64
-	for !e.stopped {
-		ev := e.peek()
-		if ev == nil {
-			break
-		}
-		if ev.at > until {
-			e.now = until
-			return e.now
-		}
-		e.pop(ev)
-		e.now = ev.at
-		fn, p := ev.fn, ev.p
-		e.release(ev)
-		if debugEvents {
-			nev++
-			if nev%debugEventEvery == 0 {
-				fmt.Fprintf(os.Stderr, "sim DEBUG: %d events, now=%v pending=%d fn=%p\n", nev, e.now, e.Pending(), fn)
-			}
-		}
-		if p != nil {
-			e.wake(p)
-		} else {
-			fn()
-		}
+	if p := e.dispatch(); p != nil {
+		p.wake()
+		<-e.kernel
 	}
 	if e.now < until && until != Forever {
 		e.now = until
@@ -404,49 +349,52 @@ func (e *Env) Run(until Time) Time {
 	return e.now
 }
 
-// Pending returns the number of scheduled (uncancelled) events.
-func (e *Env) Pending() int {
-	n := len(e.heap) + (len(e.nowq) - e.nowqHead - e.nowqDead)
-	for i := range e.lanes {
-		l := &e.lanes[i]
-		n += len(l.heap) + len(l.mbox) - l.mboxDead
+// dispatch is the event loop, run by whichever goroutine holds the baton.
+// It fires callback events inline and returns the process of the first
+// wakeup event, or nil once the run is over: Stop was called, nothing is
+// pending, or the next event lies past the horizon.
+func (e *Env) dispatch() *Proc {
+	for !e.stopped {
+		ev := e.peek()
+		if ev == nil || ev.at > e.until {
+			return nil
+		}
+		e.pop(ev)
+		e.now = ev.at
+		fn, p := ev.fn, ev.p
+		e.release(ev)
+		if debugEvents {
+			e.nev++
+			if e.nev%debugEventEvery == 0 {
+				fmt.Fprintf(os.Stderr, "sim DEBUG: %d events, now=%v pending=%d fn=%p\n", e.nev, e.now, e.Pending(), fn)
+			}
+		}
+		if p != nil {
+			return p
+		}
+		fn()
 	}
-	return n
+	return nil
 }
 
-// LiveProcs returns the number of processes that have started and not yet
-// returned. A drained simulation with blocked processes will report them
-// here; tests use this to detect leaks.
+// Pending returns the number of scheduled (uncancelled) events.
+func (e *Env) Pending() int {
+	return len(e.heap) + (len(e.nowq) - e.nowqHead - e.nowqDead)
+}
+
+// LiveProcs returns the number of processes that have been spawned and
+// not yet returned. A drained simulation with blocked processes will
+// report them here; tests use this to detect leaks.
 func (e *Env) LiveProcs() int { return e.nproc }
 
 // Proc is a simulation process: a goroutine scheduled cooperatively by the
 // kernel. All Proc methods must be called from the process's own function.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	fn     func(*Proc) // body for the current life (see startProc)
-	dead   bool
-	lane   int32 // event lane the process's wakeups land on (see lanes.go)
-}
-
-// Lane returns the event lane the process is pinned to (always 0 when
-// lanes are not configured).
-func (p *Proc) Lane() int32 { return p.lane }
-
-// SetLane pins the process's future wakeups to lane l. Model code calls
-// this when a process crosses a lane boundary — the sharded plane routes
-// an operation to a shard, pins the caller to the shard's lane for the
-// shard-local stages, and restores the previous lane on return. A no-op
-// when lanes are not configured.
-func (p *Proc) SetLane(l int32) {
-	if p.env.lanes == nil {
-		return
-	}
-	if l < 0 || int(l) >= len(p.env.lanes) {
-		panic(fmt.Sprintf("sim: SetLane(%d) with %d lanes", l, len(p.env.lanes)))
-	}
-	p.lane = l
+	env     *Env
+	name    string
+	resume  chan struct{}
+	fn      func(*Proc) // body for the current life (see Go)
+	started bool        // the shell's goroutine exists
 }
 
 // Name returns the label given to Go when the process was spawned.
@@ -460,53 +408,76 @@ func (p *Proc) Now() Time { return p.env.now }
 
 // Go spawns fn as a new process, starting at the current virtual time
 // (after already-scheduled events at this time, preserving FIFO order).
+//
+// The process runs in a shell: a Proc, its resume channel, and a
+// goroutine. Finished shells park on their resume channels and are
+// reused by later spawns, so steady-state process churn (the directors
+// spawn one process per VM deployed) allocates nothing. A fresh shell's
+// goroutine is started lazily, when the baton first reaches it, so Go
+// itself never creates a goroutine.
 func (e *Env) Go(name string, fn func(p *Proc)) {
-	ln := e.curLane
-	e.nproc++
-	e.Schedule(0, func() {
-		e.wake(e.startProc(name, fn, ln))
-	})
-}
-
-// startProc takes a parked process shell from the free list or spawns a
-// fresh goroutine. A shell's goroutine stays parked on its resume
-// channel between lives, so steady-state process churn (the directors
-// spawn one process per VM deployed) reuses the goroutine, the Proc,
-// and the channel instead of allocating all three. The free list is
-// only touched while the kernel goroutine is blocked in wake, so the
-// handoff through procDone orders every access.
-func (e *Env) startProc(name string, fn func(*Proc), lane int32) *Proc {
+	var p *Proc
 	if k := len(e.procFree); k > 0 {
-		p := e.procFree[k-1]
+		p = e.procFree[k-1]
 		e.procFree[k-1] = nil
 		e.procFree = e.procFree[:k-1]
-		p.name, p.fn, p.lane, p.dead = name, fn, lane, false
-		return p
+		p.name, p.fn = name, fn
+	} else {
+		p = &Proc{env: e, name: name, fn: fn, resume: make(chan struct{})}
 	}
-	p := &Proc{env: e, name: name, fn: fn, resume: make(chan struct{}), lane: lane}
-	go func() {
-		for {
-			<-p.resume
-			p.fn(p)
-			p.dead, p.fn = true, nil
-			e.nproc--
-			e.procFree = append(e.procFree, p)
-			e.procDone <- struct{}{}
-		}
-	}()
-	return p
+	e.nproc++
+	e.scheduleWake(0, p)
 }
 
-// wake hands control to p and blocks the kernel until p yields back.
-func (e *Env) wake(p *Proc) {
+// wake hands the baton to p: it starts p's goroutine on the first handoff
+// and otherwise unparks it. The caller must park right after.
+func (p *Proc) wake() {
+	if !p.started {
+		p.started = true
+		go p.run()
+		return
+	}
 	p.resume <- struct{}{}
-	<-e.procDone
 }
 
-// yield returns control from the process to the kernel and blocks until
-// some event resumes the process.
+// pass hands the baton on after dispatch returned next: to next, or back
+// to Run's caller when the run is over. The caller must park right after.
+func (e *Env) pass(next *Proc) {
+	if next == nil {
+		e.kernel <- struct{}{}
+		return
+	}
+	next.wake()
+}
+
+// run is a shell's goroutine: it runs one life per spawn, returns the
+// shell to the free list, and passes the baton on. When the next wakeup
+// is a new life of this very shell (a callback fired in dispatch reused
+// it), the loop continues without a switch.
+func (p *Proc) run() {
+	e := p.env
+	for {
+		p.fn(p)
+		p.fn = nil
+		e.nproc--
+		e.procFree = append(e.procFree, p)
+		if next := e.dispatch(); next != p {
+			e.pass(next)
+			<-p.resume
+		}
+	}
+}
+
+// yield blocks the process until some event resumes it. The process holds
+// the baton, so it runs the event loop itself: if the next wakeup is its
+// own it returns at once, otherwise it passes the baton on and parks.
 func (p *Proc) yield() {
-	p.env.procDone <- struct{}{}
+	e := p.env
+	next := e.dispatch()
+	if next == p {
+		return
+	}
+	e.pass(next)
 	<-p.resume
 }
 
@@ -531,11 +502,6 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-
-	// lane pinning (see lanes.go): pinned resources account acquires
-	// from processes on other lanes as cross-lane interactions.
-	lane   int32
-	pinned bool
 
 	// waiters[wHead:] is the FIFO admission queue. The head index (rather
 	// than re-slicing) lets the backing array be reused once the queue
@@ -572,25 +538,6 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 
 // Name returns the resource's label.
 func (r *Resource) Name() string { return r.name }
-
-// PinLane tags the resource as owned by event lane l. Pinning is pure
-// accounting — grant order never changes — and feeds the CrossAcq lane
-// counter that sizes the conservative barrier window: a pinned
-// resource acquired from another lane is exactly the cross-lane
-// interaction the window must cover.
-func (r *Resource) PinLane(l int32) {
-	if r.env.lanes == nil {
-		return
-	}
-	if l < 0 || int(l) >= len(r.env.lanes) {
-		panic(fmt.Sprintf("sim: PinLane(%d) with %d lanes", l, len(r.env.lanes)))
-	}
-	r.lane, r.pinned = l, true
-}
-
-// Lane returns the lane the resource is pinned to and whether PinLane
-// was called.
-func (r *Resource) Lane() (int32, bool) { return r.lane, r.pinned }
 
 // Capacity returns the total number of units.
 func (r *Resource) Capacity() int { return r.capacity }
@@ -631,9 +578,6 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		panic(fmt.Sprintf("sim: acquire %d of %q (capacity %d)", n, r.name, r.capacity))
 	}
 	r.account()
-	if r.pinned && p.lane != r.lane {
-		r.env.lanes[r.lane].stats.CrossAcq++
-	}
 	w := r.newWaiter(p, n)
 	r.waiters = append(r.waiters, w)
 	if q := r.QueueLen(); q > r.maxQueue {
@@ -746,8 +690,9 @@ func (r *Resource) RegisterMetrics(layer string) {
 // getters in arrival order.
 type Queue struct {
 	env     *Env
-	items   []any
-	getters []*qGetter
+	items   fifo[any]
+	getters fifo[*qGetter]
+	freeG   []*qGetter // recycled getter records, as in Resource.freeW
 }
 
 type qGetter struct {
@@ -760,38 +705,77 @@ type qGetter struct {
 func NewQueue(env *Env) *Queue { return &Queue{env: env} }
 
 // Len returns the number of buffered items.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.items.len() }
 
 // Waiting returns the number of blocked getters.
-func (q *Queue) Waiting() int { return len(q.getters) }
+func (q *Queue) Waiting() int { return q.getters.len() }
 
 // Put appends v and wakes the oldest blocked getter, if any.
 func (q *Queue) Put(v any) {
-	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
+	if q.getters.len() > 0 {
+		g := q.getters.pop()
 		g.item = v
 		g.ready = true
 		q.env.scheduleWake(0, g.p)
 		return
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 }
 
 // Get blocks p until an item is available and returns it.
 func (q *Queue) Get(p *Proc) any {
-	if len(q.items) > 0 {
-		v := q.items[0]
-		q.items = q.items[1:]
-		return v
+	if q.items.len() > 0 {
+		return q.items.pop()
 	}
-	g := &qGetter{p: p}
-	q.getters = append(q.getters, g)
+	var g *qGetter
+	if k := len(q.freeG); k > 0 {
+		g = q.freeG[k-1]
+		q.freeG[k-1] = nil
+		q.freeG = q.freeG[:k-1]
+	} else {
+		g = &qGetter{}
+	}
+	g.p = p
+	q.getters.push(g)
 	p.yield()
 	if !g.ready {
 		panic("sim: queue getter resumed without item")
 	}
-	return g.item
+	v := g.item
+	*g = qGetter{}
+	q.freeG = append(q.freeG, g)
+	return v
+}
+
+// fifo is a slice-backed FIFO that advances a head index instead of
+// re-slicing, so the backing array is reused rather than reallocated as
+// the queue cycles. A full array is compacted before it would grow.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// pop removes and returns the front item; the fifo must be non-empty.
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.buf[f.head]
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
 }
 
 // Signal is a broadcast condition: processes Wait on it and all waiters are
