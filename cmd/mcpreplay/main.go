@@ -5,8 +5,12 @@
 // shows up as queueing and latency, exactly as it would have in
 // production.
 //
-//	mcpreplay -cells 1 -cell-threads 2 trace.jsonl
-//	mcpreplay -fast=false -hosts 16 trace.csv
+//	mcpreplay -set director.cells=1 -set director.cellThreads=2 trace.jsonl
+//	mcpreplay -set director.fastProvisioning=false -set topology.hosts=16 trace.csv
+//
+// The replay cloud is the default configuration with -seed, then each
+// -set key=value in order; -set takes any key path that
+// mcpsim -dump-config prints.
 package main
 
 import (
@@ -24,15 +28,10 @@ import (
 )
 
 func main() {
-	var (
-		seed        = flag.Int64("seed", 1, "master random seed")
-		fast        = flag.Bool("fast", true, "use fast provisioning (linked clones)")
-		hosts       = flag.Int("hosts", 32, "hypervisor hosts")
-		datastores  = flag.Int("datastores", 8, "shared datastores")
-		cells       = flag.Int("cells", 2, "director cells")
-		cellThreads = flag.Int("cell-threads", 16, "threads per cell")
-		extraS      = flag.Float64("drain", 3600, "extra seconds after the last record to drain in-flight work")
-	)
+	var sets core.Assignments
+	flag.Int64("seed", 1, "master random seed (alias of -set seed=N)")
+	extraS := flag.Float64("drain", 3600, "extra seconds after the last record to drain in-flight work")
+	flag.Var(&sets, "set", "key=value scenario override (repeatable; keys as printed by mcpsim -dump-config)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: mcpreplay [flags] <trace.jsonl|trace.csv>")
@@ -54,12 +53,10 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := core.DefaultConfig(*seed)
-	cfg.Topology.Hosts = *hosts
-	cfg.Topology.Datastores = *datastores
-	cfg.Director.Cells = *cells
-	cfg.Director.CellThreads = *cellThreads
-	cfg.Director.FastProvisioning = *fast
+	cfg, err := core.ConfigFromFlags(flag.CommandLine, "", sets)
+	if err != nil {
+		fatal(err)
+	}
 	cloud, err := core.New(cfg)
 	if err != nil {
 		fatal(err)

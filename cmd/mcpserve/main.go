@@ -37,16 +37,16 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
-		seed       = flag.Int64("seed", 1, "master random seed")
 		ratio      = flag.Float64("ratio", 60, "virtual seconds per wall-clock second (0 = free-run, for tests)")
 		quantum    = flag.Float64("quantum", 0.25, "injection quantum in virtual seconds")
 		shards     = flag.Int("shards", 1, "management-server shards behind the director")
 		orgs       = flag.Int("orgs", 8, "tenant organizations (org0..orgN-1)")
-		configPath = flag.String("config", "", "JSON scenario file (overrides -shards and the default topology)")
+		configPath = flag.String("config", "", "JSON scenario file; -seed, -shards and -metrics given explicitly override it")
 		duration   = flag.Duration("duration", 0, "serve for this wall-clock duration then exit (0 = until SIGINT/SIGTERM)")
 		sessionTTL = flag.Duration("session-ttl", api.DefaultSessionTTL, "idle timeout before a session is evicted (0 = never)")
-		metricsOn  = flag.Bool("metrics", false, "collect per-layer metrics and print the snapshot at shutdown")
 	)
+	flag.Int64("seed", 1, "master random seed (overrides -config's)")
+	flag.Bool("metrics", false, "collect per-layer metrics and print the snapshot at shutdown")
 	flag.Parse()
 	if err := validateServeFlags(*ratio, *quantum, *shards, *orgs, *duration); err != nil {
 		fatal(err)
@@ -55,25 +55,9 @@ func main() {
 		fatal(fmt.Errorf("-session-ttl must be >= 0, got %v", *sessionTTL))
 	}
 
-	var cfg core.Config
-	if *configPath != "" {
-		f, err := os.Open(*configPath)
-		if err != nil {
-			fatal(err)
-		}
-		var lerr error
-		cfg, lerr = core.LoadConfig(f)
-		f.Close()
-		if lerr != nil {
-			fatal(lerr)
-		}
-	} else {
-		cfg = core.DefaultConfig(*seed)
-		cfg.Plane.Shards = *shards
-	}
-	cfg.Record = false // a served run is open-ended; an unbounded trace would only leak
-	if *metricsOn {
-		cfg.Metrics = true
+	cfg, err := serveConfig(flag.CommandLine, *configPath)
+	if err != nil {
+		fatal(err)
 	}
 	cloud, err := core.New(cfg)
 	if err != nil {
@@ -128,9 +112,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mcpserve: shutdown: %v\n", err)
 	}
 
-	if err := summarize(os.Stdout, fe, drv, cloud, *metricsOn); err != nil {
+	if err := summarize(os.Stdout, fe, drv, cloud, cfg.Metrics); err != nil {
 		fatal(err)
 	}
+}
+
+// serveConfig is the served cloud's Config: the -config scenario (or
+// the defaults), then -seed, -shards and -metrics where given
+// explicitly. Recording is off: a served run is open-ended, and an
+// unbounded trace would only leak.
+func serveConfig(fs *flag.FlagSet, path string) (core.Config, error) {
+	cfg, err := core.ConfigFromFlags(fs, path, nil)
+	cfg.Record = false
+	return cfg, err
 }
 
 // summarize prints the serving summary after the driver has stopped

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 	"time"
@@ -41,5 +42,25 @@ func TestValidateServeFlagsMessagesNameTheFlag(t *testing.T) {
 	}
 	if err := validateServeFlags(60, 0.25, 0, 8, 0); err == nil || !strings.Contains(err.Error(), "-shards") {
 		t.Fatalf("shards error = %v, want it to name -shards", err)
+	}
+}
+
+// -seed, -shards and -metrics given explicitly override the -config
+// scenario instead of being ignored.
+func TestServeConfigFlagsOverlayConfig(t *testing.T) {
+	fs := flag.NewFlagSet("mcpserve", flag.ContinueOnError)
+	fs.Int64("seed", 1, "")
+	fs.Int("shards", 1, "")
+	fs.Bool("metrics", false, "")
+	if err := fs.Parse([]string{"-seed", "7", "-shards", "2", "-metrics"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := serveConfig(fs, "../../scenarios/default.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Seed != 7 || cfg.Plane.Shards != 2 || !cfg.Metrics || cfg.Record {
+		t.Fatalf("seed/shards/metrics/record = %d/%d/%v/%v, want 7/2/true/false",
+			cfg.Seed, cfg.Plane.Shards, cfg.Metrics, cfg.Record)
 	}
 }

@@ -1,39 +1,65 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"cloudmcp/internal/core"
 )
 
-func TestValidateReconcileFlags(t *testing.T) {
-	cases := []struct {
-		on        bool
-		intervalS float64
-		depth     int
-		ok        bool
-	}{
-		{false, 0, 0, true},   // off: values irrelevant
-		{false, -5, -1, true}, // off: even bad values pass (never used)
-		{true, 300, 2, true},  // defaults
-		{true, 1, 1, true},    // minimal legal values
-		{true, 0, 2, false},   // interval must be positive
-		{true, -60, 2, false},
-		{true, 300, 0, false}, // depth must be at least one worker
-		{true, 300, -3, false},
+func runSim(t *testing.T, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatalf("mcpsim %s: %v", strings.Join(args, " "), err)
 	}
-	for _, c := range cases {
-		err := validateReconcileFlags(c.on, c.intervalS, c.depth)
-		if (err == nil) != c.ok {
-			t.Errorf("validateReconcileFlags(%v, %g, %d) = %v, want ok=%v", c.on, c.intervalS, c.depth, err, c.ok)
-		}
+	return out.String()
+}
+
+// Alias flags given explicitly overlay the -config scenario; -set
+// overlays them in turn.
+func TestFlagsOverlayConfig(t *testing.T) {
+	dump := runSim(t, "-config", "../../scenarios/default.json", "-seed", "7", "-shards", "2",
+		"-set", "director.cells=3", "-dump-config")
+	cfg, err := core.LoadConfig(strings.NewReader(dump))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Seed != 7 || cfg.Plane.Shards != 2 || cfg.Director.Cells != 3 {
+		t.Fatalf("seed/shards/cells = %d/%d/%d, want 7/2/3", cfg.Seed, cfg.Plane.Shards, cfg.Director.Cells)
+	}
+	if cfg, _ = core.LoadConfig(strings.NewReader(runSim(t, "-seed", "7", "-set", "seed=9", "-dump-config"))); cfg.Seed != 9 {
+		t.Fatalf("-set seed=9 after -seed 7 gave seed %d", cfg.Seed)
 	}
 }
 
-func TestValidateReconcileFlagsMessagesNameTheFlag(t *testing.T) {
-	if err := validateReconcileFlags(true, 0, 2); err == nil || !strings.Contains(err.Error(), "-reconcile-interval") {
-		t.Fatalf("interval error = %v, want it to name -reconcile-interval", err)
+// The header and the optional tables follow the effective Config, not
+// the flags: a full-clone scenario reports fast=false, and a scenario
+// that injects faults prints the fault and retry table.
+func TestReportFollowsConfig(t *testing.T) {
+	if out := runSim(t, "-config", "../../scenarios/sticky-tenants.json", "-hours", "0.1"); !strings.Contains(out, "(fast=false)") {
+		t.Fatalf("sticky-tenants header:\n%s", strings.SplitN(out, "\n", 2)[0])
 	}
-	if err := validateReconcileFlags(true, 300, 0); err == nil || !strings.Contains(err.Error(), "-reconcile-depth") {
-		t.Fatalf("depth error = %v, want it to name -reconcile-depth", err)
+	out := runSim(t, "-config", "../../scenarios/fault-burst.json", "-hours", "0.1")
+	if !strings.Contains(out, "Fault injection (rate 0.10) and retries") {
+		t.Fatalf("fault-burst prints no fault/retry table:\n%s", out)
+	}
+	if strings.Contains(runSim(t, "-config", "../../scenarios/fault-burst.json", "-faults=false", "-hours", "0.1"), "Fault injection") {
+		t.Fatal("-faults=false left fault injection on")
+	}
+}
+
+func TestRejectsBadValues(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fault-rate", "1.5"},
+		{"-set", "topology.hosts=2", "-shards", "4"},
+		{"-set", "topology.hostz=2"},
+		{"-set", "reconcile.depth=-1"},
+		{"-set", "director.placement=nearest"},
+	} {
+		if err := run(append(args, "-hours", "0.01"), &bytes.Buffer{}); err == nil {
+			t.Errorf("mcpsim %s accepted", strings.Join(args, " "))
+		}
 	}
 }

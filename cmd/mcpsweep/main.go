@@ -1,15 +1,23 @@
 // Command mcpsweep runs an arbitrary what-if parameter grid — the
 // generalization of the hardcoded E6/E10/E11 sweeps. It loads a base
 // configuration (a scenarios/*.json file, or the defaults), varies one
-// or more fields over a grid, runs the closed-loop provisioning workload
-// at every grid point in parallel through internal/sweep, and emits one
-// result row per point as an ASCII table or CSV. Output is byte-identical
-// for any -workers value at a fixed seed.
+// or more scenario keys over a grid, runs the closed-loop provisioning
+// workload at every grid point in parallel through internal/sweep, and
+// emits one result row per point as an ASCII table or CSV. Output is
+// byte-identical for any -workers value at a fixed seed.
 //
-//	mcpsweep -vary cells=1,2,4,8 -vary concurrency=16,64
-//	mcpsweep -config scenarios/paper-era.json -vary dbConns=1,2,4 -format csv
-//	mcpsweep -vary granularity=coarse,host,entity -horizon 1200
-//	mcpsweep -policy default,binpack,spread -vary hosts=16,64
+//	mcpsweep -vary director.cells=1,2,4,8 -vary concurrency=16,64
+//	mcpsweep -config scenarios/paper-era.json -vary mgmt.dbConns=1,2,4 -format csv
+//	mcpsweep -vary mgmt.granularity=coarse,host,entity -horizon 1200
+//	mcpsweep -policy default,binpack,spread -vary topology.hosts=16,64
+//	mcpsweep -vary plane.shards=1,2,4 -vary faults.rate=0,0.1
+//
+// -vary takes any key path that mcpsim -dump-config prints, plus
+// concurrency (the closed-loop client count). Each value goes through
+// the same key table as a scenario file and mcpsim -set: it is JSON, or
+// a bare string when it does not parse as JSON, and commas inside
+// brackets or quotes do not split values
+// (-vary 'reconcile.controllers=["drift"],["drift","catalog"]').
 //
 // -policy a,b,c races whole policy sets (see internal/policy) as the
 // slowest-varying grid dimension and appends a tournament ranking table
@@ -36,123 +44,67 @@ import (
 	"strings"
 	"time"
 
-	"cloudmcp/internal/clouddir"
 	"cloudmcp/internal/core"
-	"cloudmcp/internal/mgmt"
 	"cloudmcp/internal/policy"
 	"cloudmcp/internal/report"
 	"cloudmcp/internal/sweep"
 )
 
-// runSpec carries the per-point knobs that are not Config fields.
-type runSpec struct {
-	clients int // closed-loop deploy clients
-}
-
-// field is one vary-able knob: how to parse a value and apply it.
-type field struct {
-	name  string
-	apply func(cfg *core.Config, rs *runSpec, val string) error
-}
-
-func intField(name string, set func(*core.Config, *runSpec, int)) field {
-	return field{name, func(cfg *core.Config, rs *runSpec, val string) error {
-		n, err := strconv.Atoi(val)
-		if err != nil || n <= 0 {
-			return fmt.Errorf("%s=%q: want a positive integer", name, val)
-		}
-		set(cfg, rs, n)
-		return nil
-	}}
-}
-
-func floatField(name string, set func(*core.Config, float64)) field {
-	return field{name, func(cfg *core.Config, _ *runSpec, val string) error {
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f <= 0 {
-			return fmt.Errorf("%s=%q: want a positive number", name, val)
-		}
-		set(cfg, f)
-		return nil
-	}}
-}
-
-// fields is the registry of grid dimensions mcpsweep can vary.
-var fields = []field{
-	intField("cells", func(c *core.Config, _ *runSpec, n int) { c.Director.Cells = n }),
-	intField("cellThreads", func(c *core.Config, _ *runSpec, n int) { c.Director.CellThreads = n }),
-	intField("threads", func(c *core.Config, _ *runSpec, n int) { c.Mgmt.Threads = n }),
-	intField("dbConns", func(c *core.Config, _ *runSpec, n int) { c.Mgmt.DBConns = n }),
-	intField("hostSlots", func(c *core.Config, _ *runSpec, n int) { c.Mgmt.HostSlots = n }),
-	intField("maxInFlight", func(c *core.Config, _ *runSpec, n int) { c.Mgmt.MaxInFlight = n }),
-	intField("hosts", func(c *core.Config, _ *runSpec, n int) { c.Topology.Hosts = n }),
-	intField("datastores", func(c *core.Config, _ *runSpec, n int) { c.Topology.Datastores = n }),
-	intField("maxChainLen", func(c *core.Config, _ *runSpec, n int) { c.Director.MaxChainLen = n }),
-	intField("concurrency", func(_ *core.Config, rs *runSpec, n int) { rs.clients = n }),
-	floatField("templateGB", func(c *core.Config, f float64) { c.Topology.TemplateDiskGB = f }),
-	floatField("datastoreMBps", func(c *core.Config, f float64) { c.Topology.DatastoreMBps = f }),
-	{"fast", func(cfg *core.Config, _ *runSpec, val string) error {
-		b, err := strconv.ParseBool(val)
-		if err != nil {
-			return fmt.Errorf("fast=%q: want true/false", val)
-		}
-		cfg.Director.FastProvisioning = b
-		return nil
-	}},
-	{"granularity", func(cfg *core.Config, _ *runSpec, val string) error {
-		switch val {
-		case "coarse":
-			cfg.Mgmt.Granularity = mgmt.GranularityCoarse
-		case "host":
-			cfg.Mgmt.Granularity = mgmt.GranularityHost
-		case "entity":
-			cfg.Mgmt.Granularity = mgmt.GranularityEntity
-		default:
-			return fmt.Errorf("granularity=%q: want coarse|host|entity", val)
-		}
-		return nil
-	}},
-	{"placement", func(cfg *core.Config, _ *runSpec, val string) error {
-		switch val {
-		case "most-free":
-			cfg.Director.Placement = clouddir.PlaceMostFree
-		case "sticky-org":
-			cfg.Director.Placement = clouddir.PlaceStickyOrg
-		default:
-			return fmt.Errorf("placement=%q: want most-free|sticky-org", val)
-		}
-		return nil
-	}},
-	{"policy", func(cfg *core.Config, _ *runSpec, val string) error {
-		if _, err := policy.Named(val); err != nil {
-			return err
-		}
-		cfg.Policy = val
-		return nil
-	}},
-}
-
-func fieldByName(name string) (field, bool) {
-	for _, f := range fields {
-		if f.name == name {
-			return f, true
-		}
-	}
-	return field{}, false
-}
-
-func fieldNames() string {
-	names := make([]string, len(fields))
-	for i, f := range fields {
-		names[i] = f.name
-	}
-	return strings.Join(names, ", ")
-}
-
-// varySpec is one -vary flag: a field and its value list.
+// varySpec is one -vary flag: a scenario key (or "concurrency") and
+// its value list.
 type varySpec struct {
-	field  field
+	key    string
 	values []string
+}
+
+// apply sets one grid value: concurrency goes to the client count, any
+// other key through Config.Set.
+func (s varySpec) apply(cfg *core.Config, clients *int, val string) error {
+	if s.key != "concurrency" {
+		return cfg.Set(s.key, val)
+	}
+	n, err := strconv.Atoi(val)
+	if err != nil || n <= 0 {
+		return fmt.Errorf("concurrency=%q: want a positive integer", val)
+	}
+	*clients = n
+	return nil
+}
+
+// check applies every value to a scratch config so a typo fails before
+// hours of simulation.
+func (s varySpec) check() error {
+	for _, val := range s.values {
+		scratch, clients := core.DefaultConfig(1), 1
+		if err := s.apply(&scratch, &clients, val); err != nil {
+			return fmt.Errorf("-vary %s=%s: %w", s.key, val, err)
+		}
+	}
+	return nil
+}
+
+// splitValues splits a -vary value list at the commas outside JSON
+// brackets and strings.
+func splitValues(list string) []string {
+	var vals []string
+	depth, inStr, start := 0, false, 0
+	for i := 0; i < len(list); i++ {
+		switch c := list[i]; {
+		case inStr && c == '\\':
+			i++
+		case c == '"':
+			inStr = !inStr
+		case inStr:
+		case c == '[' || c == '{':
+			depth++
+		case c == ']' || c == '}':
+			depth--
+		case c == ',' && depth == 0:
+			vals = append(vals, list[start:i])
+			start = i + 1
+		}
+	}
+	return append(vals, list[start:])
 }
 
 // varyFlag accumulates repeated -vary flags in command-line order.
@@ -161,47 +113,38 @@ type varyFlag struct{ specs []varySpec }
 func (v *varyFlag) String() string {
 	var parts []string
 	for _, s := range v.specs {
-		parts = append(parts, s.field.name+"="+strings.Join(s.values, ","))
+		parts = append(parts, s.key+"="+strings.Join(s.values, ","))
 	}
 	return strings.Join(parts, " ")
 }
 
 func (v *varyFlag) Set(s string) error {
-	name, vals, ok := strings.Cut(s, "=")
+	key, vals, ok := strings.Cut(s, "=")
 	if !ok || vals == "" {
-		return fmt.Errorf("want field=v1,v2,... got %q", s)
-	}
-	f, ok := fieldByName(name)
-	if !ok {
-		return fmt.Errorf("unknown field %q (known: %s)", name, fieldNames())
+		return fmt.Errorf("want key=v1,v2,... got %q", s)
 	}
 	for _, prev := range v.specs {
-		if prev.field.name == f.name {
-			return fmt.Errorf("field %q varied twice; give all its values in one -vary", f.name)
+		if prev.key == key {
+			return fmt.Errorf("key %q varied twice; give all its values in one -vary", key)
 		}
 	}
-	values := strings.Split(vals, ",")
-	// Validate every value up front against a scratch config so a typo
-	// fails before hours of simulation.
-	for _, val := range values {
-		scratch, rs := core.DefaultConfig(1), runSpec{clients: 1}
-		if err := f.apply(&scratch, &rs, val); err != nil {
-			return err
-		}
+	spec := varySpec{key: key, values: splitValues(vals)}
+	if err := spec.check(); err != nil {
+		return err
 	}
-	v.specs = append(v.specs, varySpec{field: f, values: values})
+	v.specs = append(v.specs, spec)
 	return nil
 }
 
 // row is one grid point's rendered result.
 type row struct {
-	values []string // one per varied field
+	values []string // one per varied key
 	res    core.ClosedLoopResult
 }
 
 func main() {
 	var vary varyFlag
-	flag.Var(&vary, "vary", "field=v1,v2,... grid dimension (repeatable); fields: "+fieldNames())
+	flag.Var(&vary, "vary", "key=v1,v2,... grid dimension (repeatable); keys: any printed by mcpsim -dump-config, plus concurrency")
 	policyList := flag.String("policy", "",
 		"comma-separated policy sets to race as a tournament (known: "+strings.Join(policy.Names(), ", ")+")")
 	configPath := flag.String("config", "", "JSON scenario file for the base configuration")
@@ -220,22 +163,19 @@ func main() {
 	var tournament []string
 	if *policyList != "" {
 		for _, prev := range vary.specs {
-			if prev.field.name == "policy" {
+			if prev.key == "policy" {
 				fatal(fmt.Errorf("use either -policy or -vary policy=..., not both"))
 			}
 		}
-		f, _ := fieldByName("policy")
 		tournament = strings.Split(*policyList, ",")
-		for _, val := range tournament {
-			scratch, rs := core.DefaultConfig(1), runSpec{clients: 1}
-			if err := f.apply(&scratch, &rs, val); err != nil {
-				fatal(err)
-			}
+		spec := varySpec{key: "policy", values: tournament}
+		if err := spec.check(); err != nil {
+			fatal(err)
 		}
-		vary.specs = append([]varySpec{{field: f, values: tournament}}, vary.specs...)
+		vary.specs = append([]varySpec{spec}, vary.specs...)
 	}
 	if len(vary.specs) == 0 {
-		fatal(fmt.Errorf("nothing to sweep: pass at least one -vary field=v1,v2,... (fields: %s)", fieldNames()))
+		fatal(fmt.Errorf("nothing to sweep: pass at least one -vary key=v1,v2,..."))
 	}
 	if *format != "ascii" && *format != "csv" {
 		fatal(fmt.Errorf("unknown format %q (want ascii or csv)", *format))
@@ -249,20 +189,15 @@ func main() {
 
 	base := core.DefaultConfig(*seed)
 	if *configPath != "" {
-		f, err := os.Open(*configPath)
-		if err != nil {
+		var err error
+		if base, err = core.LoadConfigFile(*configPath); err != nil {
 			fatal(err)
 		}
-		base, err = core.LoadConfig(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		seedSet := false
-		flag.Visit(func(fl *flag.Flag) { seedSet = seedSet || fl.Name == "seed" })
-		if seedSet {
-			base.Seed = *seed
-		}
+		flag.Visit(func(fl *flag.Flag) {
+			if fl.Name == "seed" {
+				base.Seed = *seed
+			}
+		})
 	}
 
 	// Row-major grid: the first -vary flag varies slowest.
@@ -289,18 +224,18 @@ func main() {
 	}
 	start := time.Now()
 	rows, err := sweep.Run(opts, total, func(pt sweep.Point) (row, error) {
-		cfg := base // per-point copy; applied fields only touch value fields
+		cfg := base // per-point copy; Config.Set never writes through a shared pointer
 		if *pointSeeds {
 			cfg.Seed = pt.Seed
 		}
-		rs := runSpec{clients: *concurrency}
+		clients := *concurrency
 		vals := assign(pt.Index)
 		for i, s := range vary.specs {
-			if err := s.field.apply(&cfg, &rs, vals[i]); err != nil {
+			if err := s.apply(&cfg, &clients, vals[i]); err != nil {
 				return row{}, err
 			}
 		}
-		res, err := core.RunClosedLoop(cfg, rs.clients, *horizon, *warmup)
+		res, err := core.RunClosedLoop(cfg, clients, *horizon, *warmup)
 		return row{values: vals, res: res}, err
 	})
 	if err != nil {
@@ -309,7 +244,7 @@ func main() {
 
 	headers := make([]string, 0, len(vary.specs)+4)
 	for _, s := range vary.specs {
-		headers = append(headers, s.field.name)
+		headers = append(headers, s.key)
 	}
 	headers = append(headers, "deploys/h", "mean lat s", "p95 lat s", "errors")
 	title := fmt.Sprintf("mcpsweep: %d-point grid, %.0fs horizon, seed %d",

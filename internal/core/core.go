@@ -171,6 +171,10 @@ func New(cfg Config) (*Cloud, error) {
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Plane.Shards > cfg.Topology.Hosts {
+		return nil, fmt.Errorf("core: %d plane shards exceed %d hosts: a shard needs at least one host",
+			cfg.Plane.Shards, cfg.Topology.Hosts)
+	}
 	pol, err := policy.Named(cfg.Policy)
 	if err != nil {
 		return nil, err

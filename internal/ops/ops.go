@@ -173,10 +173,10 @@ func (b Breakdown) Scale(f float64) Breakdown {
 // Each stage's service time is drawn log-normally around the mean with
 // the model's coefficient of variation.
 type StageCost struct {
-	CellS    float64 // seconds of cell work (request validation, workflow)
-	MgmtS    float64 // seconds of manager work (inventory update, task mgmt)
-	DBWrites int     // management-database writes issued
-	HostS    float64 // seconds of host-agent execution
+	CellS    float64 `json:"cellS"`    // seconds of cell work (request validation, workflow)
+	MgmtS    float64 `json:"mgmtS"`    // seconds of manager work (inventory update, task mgmt)
+	DBWrites int     `json:"dbWrites"` // management-database writes issued
+	HostS    float64 `json:"hostS"`    // seconds of host-agent execution
 }
 
 // CostModel prices every operation kind.

@@ -235,23 +235,3 @@ func (r *Replayer) pickMigrationTarget(vm *inventory.VM) *inventory.Host {
 	inv := r.dir.Manager().Inventory()
 	return inv.BestHostExcluding(vm.HostID, vm.MemMB, 0)
 }
-
-// pickMigrationTargetLinear is the pre-index reference scan, retained
-// for the equivalence test that pins pickMigrationTarget bit-for-bit.
-func (r *Replayer) pickMigrationTargetLinear(vm *inventory.VM) *inventory.Host {
-	inv := r.dir.Manager().Inventory()
-	var best *inventory.Host
-	for _, id := range inv.Hosts() {
-		if id == vm.HostID {
-			continue
-		}
-		h := inv.Host(id)
-		if !h.InService() || h.FreeMemMB() < vm.MemMB {
-			continue
-		}
-		if best == nil || h.FreeMemMB() > best.FreeMemMB() {
-			best = h
-		}
-	}
-	return best
-}

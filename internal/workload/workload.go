@@ -389,21 +389,3 @@ func (g *Generator) pickOtherHost(vm *inventory.VM) *inventory.Host {
 	inv := g.dir.Manager().Inventory()
 	return inv.BestHostExcluding(vm.HostID, vm.MemMB, 0)
 }
-
-func (g *Generator) pickOtherHostLinear(vm *inventory.VM) *inventory.Host {
-	inv := g.dir.Manager().Inventory()
-	var best *inventory.Host
-	for _, id := range inv.Hosts() {
-		if id == vm.HostID {
-			continue
-		}
-		h := inv.Host(id)
-		if !h.InService() || h.FreeMemMB() < vm.MemMB {
-			continue
-		}
-		if best == nil || h.FreeMemMB() > best.FreeMemMB() {
-			best = h
-		}
-	}
-	return best
-}
