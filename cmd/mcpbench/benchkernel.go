@@ -10,17 +10,18 @@ import (
 
 	"cloudmcp/internal/core"
 	"cloudmcp/internal/faults"
+	"cloudmcp/internal/rng"
 	"cloudmcp/internal/sim"
 )
 
 // The kernel micro-benchmark suite behind -bench-kernel: the same hot
-// paths the internal/sim and internal/faults BenchmarkKernel* functions
-// cover, run through testing.Benchmark so a CLI invocation (or the CI
-// perf-smoke job) can emit machine-readable numbers without the test
-// harness. The emitted JSON also carries the recorded before/after
-// allocation counts for the E6 closed loop on the commit that introduced
-// the pooled kernel, so the reduction the change bought stays visible
-// next to freshly measured numbers.
+// paths the internal/sim, internal/rng and internal/faults
+// BenchmarkKernel* functions cover, run through testing.Benchmark so a
+// CLI invocation (or the CI perf-smoke job) can emit machine-readable
+// numbers without the test harness. The emitted JSON also carries the
+// recorded before/after allocation counts for the E6 closed loop on the
+// commit that introduced the pooled kernel, so the reduction the change
+// bought stays visible next to freshly measured numbers.
 
 // e6Reference pins the E6 closed-loop allocation counts measured with
 // `go test -bench=E6_Throughput -benchmem` at seed 1, HorizonS 900:
@@ -142,6 +143,14 @@ func kernelBenches(seed int64) []struct {
 				}
 			})
 			env.Run(sim.Forever)
+		}},
+		{"rng/reseed", func(b *testing.B) {
+			// One per-decision stream: re-seed, then one draw.
+			rs := rng.NewReseeder()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = rs.Reseed(seed + int64(i)).Float64()
+			}
 		}},
 		{"faults/decide", func(b *testing.B) {
 			in, err := faults.New(seed, faults.Preset(0.3))

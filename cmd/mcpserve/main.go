@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -75,7 +74,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "mcpserve: serving on http://%s (ratio %g, quantum %gs, shards %d, orgs %d)\n",
 		ln.Addr(), *ratio, *quantum, cloud.Plane().ShardCount(), *orgs)
 
-	hs := &http.Server{Handler: srv}
+	hs := api.NewHTTPServer(srv)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	runDone := make(chan struct{})

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -56,10 +58,36 @@ func TestRejectsBadValues(t *testing.T) {
 		{"-set", "topology.hosts=2", "-shards", "4"},
 		{"-set", "topology.hostz=2"},
 		{"-set", "reconcile.depth=-1"},
+		{"-set", "reconcile.depth=0"},
+		{"-set", "reconcile.intervalS=0"},
+		{"-set", "reconcile.maxRetries=0"},
 		{"-set", "director.placement=nearest"},
 	} {
 		if err := run(append(args, "-hours", "0.01"), &bytes.Buffer{}); err == nil {
 			t.Errorf("mcpsim %s accepted", strings.Join(args, " "))
+		}
+	}
+}
+
+// TestFaultsReconcileRunPinned pins the full output of two runs whose
+// every fault, retry-jitter and reconcile decision draws from a freshly
+// re-seeded per-decision stream (rng.Reseeder), to the digests the
+// math/rand-seeded Reseeder produced at commit b66c39b. The CI
+// determinism legs run one binary twice and cannot see a draw drift
+// between commits; this test can.
+func TestFaultsReconcileRunPinned(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shards", "4", "-faults", "-reconcile", "-hours", "2"},
+			"098a7aaadd90ed95cde0a0d8c64224e5936aa5628efabbb3de3b1749754ee4b4"},
+		{[]string{"-config", "../../scenarios/fault-burst.json", "-hours", "1"},
+			"56c8482a054aefd06c74ffebd46105d1b4cad0deeac7c174ba4c260ebc674aaf"},
+	} {
+		out := runSim(t, c.args...)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != c.want {
+			t.Errorf("mcpsim %s: output digest %s, want %s\n%s", strings.Join(c.args, " "), got, c.want, out)
 		}
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"time"
 
 	"cloudmcp/internal/core"
@@ -107,7 +106,7 @@ func runE22Cell(p E22Params, users int, ratio float64, shards int) (report.APIRo
 	if err != nil {
 		return report.APIRow{}, err
 	}
-	hs := &http.Server{Handler: srv}
+	hs := NewHTTPServer(srv)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	runDone := make(chan struct{})

@@ -34,6 +34,23 @@ type session struct {
 // that log in per connection leak the server's memory.
 const DefaultSessionTTL = 30 * time.Minute
 
+// Socket timeouts for the serving process. A client that opens a
+// connection and never finishes its request header, or parks an idle
+// keep-alive connection, would otherwise hold a socket and a goroutine
+// for as long as it likes. There is no read or write timeout: a request
+// legitimately waits on the paced simulation for as long as its
+// operation takes.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server for h with the serving process's
+// socket timeouts. mcpserve and the E22 experiment both serve through it.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
 // Server is the VCD-style REST surface over a serving façade. It is an
 // http.Handler; every goroutine-safety concern below it is owned by
 // core.Frontend and the paced driver.

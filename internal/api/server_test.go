@@ -376,3 +376,19 @@ func TestSessionIdleEviction(t *testing.T) {
 		t.Fatalf("session evicted with TTL disabled: %d", code)
 	}
 }
+
+// Every serving socket gets a header deadline and an idle deadline, and
+// the helper keeps the handler it was given.
+func TestNewHTTPServerSetsTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	hs := NewHTTPServer(h)
+	if hs.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", hs.IdleTimeout)
+	}
+	if hs.Handler != h {
+		t.Errorf("Handler = %v, want the handler passed in", hs.Handler)
+	}
+}

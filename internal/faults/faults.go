@@ -195,9 +195,12 @@ type Stats struct {
 // state of each "fault:<layer>:" prefix is hashed once at construction
 // (rng.SeedHasher) and extended with the task/attempt digits per draw,
 // and the draws come from one cached generator re-seeded per decision
-// (rng.Reseeder). The seeds are bit-for-bit the values
-// rng.DeriveSeed(seed, "fault:<layer>:<taskID>:<attempt>") has always
-// produced, pinned by a golden test.
+// (rng.Reseeder, whose jump-ahead source makes a re-seed O(1): tens of
+// ns where math/rand's Seed takes microseconds). The seeds are
+// bit-for-bit the values rng.DeriveSeed(seed,
+// "fault:<layer>:<taskID>:<attempt>") has always produced, and the draws
+// the ones rand.New(rand.NewSource(seed)) yields, pinned by golden and
+// equivalence tests.
 type Injector struct {
 	seed  int64
 	cfg   Config

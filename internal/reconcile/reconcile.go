@@ -116,37 +116,6 @@ func DefaultConfig() Config {
 // Enabled reports whether any controller is configured.
 func (c Config) Enabled() bool { return len(c.Controllers) > 0 }
 
-// withDefaults fills zero-valued knobs from DefaultConfig so a literal
-// Config{Controllers: ...} is runnable.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.IntervalS == 0 {
-		c.IntervalS = d.IntervalS
-	}
-	if c.Depth == 0 {
-		c.Depth = d.Depth
-	}
-	if c.RatePerS == 0 {
-		c.RatePerS = d.RatePerS
-	}
-	if c.Burst == 0 {
-		c.Burst = d.Burst
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = d.MaxRetries
-	}
-	if c.Backoff == (BackoffPolicy{}) {
-		c.Backoff = d.Backoff
-	}
-	if c.DriftRate == 0 {
-		c.DriftRate = d.DriftRate
-	}
-	if c.FillFraction == 0 {
-		c.FillFraction = d.FillFraction
-	}
-	return c
-}
-
 // Validate checks the configuration. A disabled config is always valid.
 func (c Config) Validate() error {
 	if !c.Enabled() {
@@ -227,9 +196,10 @@ type runtime struct {
 	epoch    int64
 
 	// Cached "reconcile:<name>:" FNV prefix plus a reseedable generator,
-	// the same allocation-free per-decision derivation internal/faults
-	// uses. The seeds equal rng.DeriveSeed(seed,
-	// "reconcile:<name>:<key>:<attempt>") bit for bit (pinned by test).
+	// the same allocation-free, O(1)-reseed per-decision derivation
+	// internal/faults uses. The seeds equal rng.DeriveSeed(seed,
+	// "reconcile:<name>:<key>:<attempt>") bit for bit (pinned by test),
+	// and the draws equal those of rng.New on that seed.
 	prefix  rng.SeedHasher
 	scratch *rng.Reseeder
 	pol     BackoffPolicy
@@ -265,7 +235,6 @@ type Plane struct {
 // endpoint. A config with no controllers yields an inert plane:
 // identical in behaviour to not constructing one at all.
 func New(env *sim.Env, api API, seed int64, cfg Config) (*Plane, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -290,7 +259,7 @@ func New(env *sim.Env, api API, seed int64, cfg Config) (*Plane, error) {
 	return r, nil
 }
 
-// Config returns the plane's (defaulted) configuration.
+// Config returns the plane's configuration.
 func (r *Plane) Config() Config { return r.cfg }
 
 // Start launches each controller's resync loop and Depth workers. The

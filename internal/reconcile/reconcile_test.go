@@ -42,13 +42,17 @@ func TestBackoffSeedMatchesDerive(t *testing.T) {
 	}
 }
 
+// enabled returns DefaultConfig running the named controllers, with mut
+// applied on top.
+func enabled(mut func(c *Config), controllers ...string) Config {
+	c := DefaultConfig()
+	c.Controllers = controllers
+	mut(&c)
+	return c
+}
+
 func TestConfigValidate(t *testing.T) {
-	ok := func(mut func(c *Config)) Config {
-		c := DefaultConfig()
-		c.Controllers = []string{ControllerDrift}
-		mut(&c)
-		return c
-	}
+	ok := func(mut func(c *Config)) Config { return enabled(mut, ControllerDrift) }
 	cases := []struct {
 		name string
 		cfg  Config
@@ -59,8 +63,16 @@ func TestConfigValidate(t *testing.T) {
 		{"all controllers", ok(func(c *Config) { c.Controllers = ControllerNames() }), true},
 		{"unknown controller", ok(func(c *Config) { c.Controllers = []string{"gc"} }), false},
 		{"duplicate controller", ok(func(c *Config) { c.Controllers = []string{ControllerDrift, ControllerDrift} }), false},
-		{"zero interval", ok(func(c *Config) { c.IntervalS = -1 }), false},
-		{"zero depth", ok(func(c *Config) { c.Depth = -1 }), false},
+		{"negative interval", ok(func(c *Config) { c.IntervalS = -1 }), false},
+		{"zero interval", ok(func(c *Config) { c.IntervalS = 0 }), false},
+		{"negative depth", ok(func(c *Config) { c.Depth = -1 }), false},
+		{"zero depth", ok(func(c *Config) { c.Depth = 0 }), false},
+		{"zero rate disables limiting", ok(func(c *Config) { c.RatePerS = 0 }), true},
+		{"zero burst", ok(func(c *Config) { c.Burst = 0 }), false},
+		{"zero max retries", ok(func(c *Config) { c.MaxRetries = 0 }), false},
+		{"zero backoff", ok(func(c *Config) { c.Backoff = BackoffPolicy{} }), false},
+		{"zero drift rate", ok(func(c *Config) { c.DriftRate = 0 }), true},
+		{"zero fill fraction", ok(func(c *Config) { c.FillFraction = 0 }), false},
 		{"negative rate", ok(func(c *Config) { c.RatePerS = -2 }), false},
 		{"tiny burst", ok(func(c *Config) { c.Burst = 0.5 }), false},
 		{"bad backoff", ok(func(c *Config) { c.Backoff.Mult = 0.5 }), false},
@@ -71,6 +83,26 @@ func TestConfigValidate(t *testing.T) {
 		if err := tc.cfg.Validate(); (err == nil) != tc.want {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.want)
 		}
+	}
+}
+
+// New takes the config as given: a zero knob is not silently replaced
+// by its default but rejected by Validate.
+func TestNewRejectsZeroKnobs(t *testing.T) {
+	fx := testfix.New(testfix.Options{})
+	mgr, err := mgmt.New(fx.Env, fx.Inv, fx.Pool, fx.Model, rng.Derive(1, "m"), mgmt.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(fx.Env, mgr, 1, Config{Controllers: []string{ControllerDrift}}); err == nil {
+		t.Fatal("New accepted a config with every knob zero")
+	}
+	p, err := New(fx.Env, mgr, 1, enabled(func(*Config) {}, ControllerDrift))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.Config(), enabled(func(*Config) {}, ControllerDrift); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Config() = %+v, want the config passed in %+v", got, want)
 	}
 }
 
@@ -116,11 +148,10 @@ func (f *fixture) deploy(t *testing.T, n int, powerOn bool) {
 }
 
 func TestDriftControllerCorrectsEveryVM(t *testing.T) {
-	f := newFixture(t, testfix.Options{}, Config{
-		Controllers: []string{ControllerDrift},
-		IntervalS:   100, Depth: 2, RatePerS: 4, Burst: 4,
-		DriftRate: 1, // every VM drifts every epoch
-	})
+	f := newFixture(t, testfix.Options{}, enabled(func(c *Config) {
+		c.IntervalS, c.Depth, c.RatePerS, c.Burst = 100, 2, 4, 4
+		c.DriftRate = 1 // every VM drifts every epoch
+	}, ControllerDrift))
 	f.deploy(t, 6, true)
 	f.rec.Start()
 	f.fx.Env.Run(f.fx.Env.Now() + 250) // two resync epochs
@@ -140,10 +171,9 @@ func TestDriftControllerCorrectsEveryVM(t *testing.T) {
 }
 
 func TestCatalogControllerRepublishesTemplates(t *testing.T) {
-	f := newFixture(t, testfix.Options{}, Config{
-		Controllers: []string{ControllerCatalog},
-		IntervalS:   50, Depth: 1,
-	})
+	f := newFixture(t, testfix.Options{}, enabled(func(c *Config) {
+		c.IntervalS, c.Depth = 50, 1
+	}, ControllerCatalog))
 	f.rec.Start()
 	f.fx.Env.Run(175) // three epochs, one template each
 	st := f.rec.Stats()
@@ -156,12 +186,11 @@ func TestCatalogControllerRepublishesTemplates(t *testing.T) {
 // attempt fails; retries back off and the key drops at MaxRetries.
 func TestRebalanceRetriesThenDrops(t *testing.T) {
 	f := newFixture(t, testfix.Options{Datastores: 1, DatastoreGB: 100, TemplateGB: 16},
-		Config{
-			Controllers: []string{ControllerRebalance},
-			IntervalS:   1000, Depth: 1, RatePerS: 8, Burst: 8,
-			MaxRetries: 2, Backoff: BackoffPolicy{BaseS: 1, MaxS: 4, Mult: 2, Jitter: 0.25},
-			FillFraction: 0.5,
-		})
+		enabled(func(c *Config) {
+			c.IntervalS, c.Depth, c.RatePerS, c.Burst = 1000, 1, 8, 8
+			c.MaxRetries, c.Backoff = 2, BackoffPolicy{BaseS: 1, MaxS: 4, Mult: 2, Jitter: 0.25}
+			c.FillFraction = 0.5
+		}, ControllerRebalance))
 	f.deploy(t, 5, false) // 5 full clones: 96 GB of 100 → threshold 50%
 	f.rec.Start()
 	f.fx.Env.Run(f.fx.Env.Now() + 1100) // one resync plus backoff tail
@@ -178,11 +207,10 @@ func TestRebalanceRetriesThenDrops(t *testing.T) {
 // below threshold; later arrivals converge without moving.
 func TestRebalanceDrainsOverfullDatastore(t *testing.T) {
 	f := newFixture(t, testfix.Options{Datastores: 2, DatastoreGB: 100, TemplateGB: 16},
-		Config{
-			Controllers: []string{ControllerRebalance},
-			IntervalS:   200, Depth: 2, RatePerS: 8, Burst: 8,
-			FillFraction: 0.6,
-		})
+		enabled(func(c *Config) {
+			c.IntervalS, c.Depth, c.RatePerS, c.Burst = 200, 2, 8, 8
+			c.FillFraction = 0.6
+		}, ControllerRebalance))
 	// All 4 VMs on DS[0] as full clones: 64 GB + 16 GB template base = 80%.
 	f.fx.Env.Go("prep", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
@@ -212,11 +240,10 @@ func TestRebalanceDrainsOverfullDatastore(t *testing.T) {
 }
 
 func TestMarkDriftedForcesImmediateWork(t *testing.T) {
-	f := newFixture(t, testfix.Options{}, Config{
-		Controllers: []string{ControllerDrift},
-		IntervalS:   1e6, // resync effectively never fires
-		Depth:       2, DriftRate: 0,
-	})
+	f := newFixture(t, testfix.Options{}, enabled(func(c *Config) {
+		c.IntervalS = 1e6 // resync effectively never fires
+		c.Depth, c.DriftRate = 2, 0
+	}, ControllerDrift))
 	f.deploy(t, 4, true)
 	f.rec.Start()
 	if n := f.rec.MarkDrifted(f.fx.Inv.VMs()); n != 4 {
@@ -229,7 +256,7 @@ func TestMarkDriftedForcesImmediateWork(t *testing.T) {
 }
 
 func TestMarkDriftedWithoutDriftController(t *testing.T) {
-	f := newFixture(t, testfix.Options{}, Config{Controllers: []string{ControllerCatalog}})
+	f := newFixture(t, testfix.Options{}, enabled(func(*Config) {}, ControllerCatalog))
 	if n := f.rec.MarkDrifted([]inventory.ID{1, 2}); n != 0 {
 		t.Fatalf("marked %d on a plane without the drift controller", n)
 	}
@@ -250,11 +277,10 @@ func TestDisabledPlaneIsInert(t *testing.T) {
 func TestRunsAreDeterministic(t *testing.T) {
 	run := func() []Stats {
 		f := newFixture(t, testfix.Options{Datastores: 2, DatastoreGB: 150, TemplateGB: 16},
-			Config{
-				Controllers: ControllerNames(),
-				IntervalS:   60, Depth: 2, RatePerS: 2, Burst: 4,
-				DriftRate: 0.5, FillFraction: 0.7,
-			})
+			enabled(func(c *Config) {
+				c.IntervalS, c.Depth, c.RatePerS, c.Burst = 60, 2, 2, 4
+				c.DriftRate, c.FillFraction = 0.5, 0.7
+			}, ControllerNames()...))
 		f.deploy(t, 8, true)
 		f.rec.Start()
 		f.fx.Env.Run(f.fx.Env.Now() + 600)

@@ -2,6 +2,9 @@ package rng
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -66,20 +69,92 @@ func TestSeedHasherAllocFree(t *testing.T) {
 	}
 }
 
+// reseederSeeds returns the seeds the Reseeder equivalence test runs:
+// the edges of math/rand's seed normalisation (zero, the int32max
+// modulus and its neighbours, the replacement seed for zero, the int64
+// extremes) plus pseudo-random seeds over the whole int64 range.
+func reseederSeeds() []int64 {
+	seeds := []int64{
+		0, 1, -1, 2, 42, -7,
+		int32max, -int32max, int32max + 1, -int32max - 1, int32max - 1,
+		2 * int32max, seedDefault, -seedDefault,
+		math.MinInt64, math.MaxInt64, math.MinInt64 + 1,
+		905418259443008068,
+	}
+	gen := rand.New(rand.NewSource(20131103))
+	for i := 0; i < 320; i++ {
+		v := gen.Int63()
+		if i%2 == 1 {
+			v = -v
+		}
+		if i%5 == 0 {
+			v %= 1 << 32 // magnitudes near the int32max modulus, not only far above it
+		}
+		seeds = append(seeds, v)
+	}
+	return seeds
+}
+
+// streamOp applies the i-th step of a fixed script that cycles through
+// every Stream method and returns what it drew, as float64s.
+func streamOp(s *Stream, i int) []float64 {
+	weights := []float64{0.5, 0, 2, 1.25}
+	switch i % 11 {
+	case 0:
+		return []float64{s.Float64()}
+	case 1:
+		return []float64{float64(s.Intn(1 + i%1000))}
+	case 2:
+		return []float64{float64(s.Int63())}
+	case 3:
+		var out []float64
+		for _, v := range s.Perm(i % 9) {
+			out = append(out, float64(v))
+		}
+		return out
+	case 4:
+		return []float64{s.Exponential(3.5)}
+	case 5:
+		return []float64{s.Normal(10, 2)}
+	case 6:
+		return []float64{s.LogNormal(2, 1)}
+	case 7:
+		return []float64{s.Pareto(1, 1.5)}
+	case 8:
+		if s.Bernoulli(0.3) {
+			return []float64{1}
+		}
+		return []float64{0}
+	case 9:
+		return []float64{float64(s.WeightedChoice(weights))}
+	default:
+		return []float64{s.Uniform(-1, 1)}
+	}
+}
+
 // Reseeder must yield exactly the draw sequence a fresh New(seed) stream
-// would, across reseeds and draw types.
+// would, for every seed, through every Stream method, past the point
+// where the register indices wrap (3×607 source draws), and after being
+// re-seeded in the middle of a stream.
 func TestReseederMatchesNew(t *testing.T) {
+	const steps = 3*rngLen + 50
 	rs := NewReseeder()
-	for _, seed := range []int64{0, 42, -7, 905418259443008068} {
-		fresh := New(seed)
-		cached := rs.Reseed(seed)
-		for i := 0; i < 8; i++ {
-			if f, c := fresh.Float64(), cached.Float64(); f != c {
-				t.Fatalf("seed %d draw %d: Reseeder %v != New %v", seed, i, c, f)
+	for si, seed := range reseederSeeds() {
+		// Every third seed first runs a short prefix of another stream,
+		// so the Reseed below lands mid-stream on a partly built
+		// register and an arbitrary tap position.
+		if si%3 == 0 {
+			other := rs.Reseed(seed ^ 0x5bd1e995)
+			for i := 0; i < 1+si%700; i++ {
+				other.Int63()
 			}
 		}
-		if f, c := fresh.LogNormal(2, 1), cached.LogNormal(2, 1); f != c {
-			t.Fatalf("seed %d lognormal: Reseeder %v != New %v", seed, c, f)
+		fresh := New(seed)
+		cached := rs.Reseed(seed)
+		for i := 0; i < steps; i++ {
+			if f, c := streamOp(fresh, i), streamOp(cached, i); !slices.Equal(f, c) {
+				t.Fatalf("seed %d step %d: Reseeder drew %v, New drew %v", seed, i, c, f)
+			}
 		}
 	}
 }

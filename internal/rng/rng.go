@@ -134,12 +134,16 @@ func (s Hash32) Sum() uint32 { return s.h }
 
 // Reseeder is a reusable stream for components that derive a fresh
 // sub-stream per decision (the fault injector draws per (layer, task,
-// attempt)). Constructing a Stream allocates a generator of several
-// kilobytes; Reseed re-seeds one cached generator instead, yielding
-// exactly the draw sequence New(seed) would while keeping the hot path
-// allocation-free. Each Reseed invalidates the previous stream, so the
-// returned stream must be drained before the next call; not safe for
-// concurrent use.
+// attempt), the drift controller per (VM, epoch)). Such a stream draws
+// one or two numbers, so the cost that matters is seeding: math/rand's
+// Seed runs 1,821 Lehmer steps to fill a 607-word register (microseconds),
+// and New allocates that register too. Reseed instead re-seeds one
+// cached jumpSource, which stores the seed and computes register words
+// on first touch (tens of ns, no allocation), yet yields exactly the
+// draw sequence New(seed) would — pinned by equivalence tests and a
+// fuzz target against math/rand. Each Reseed invalidates the previous
+// stream, so the returned stream must be drained before the next call;
+// not safe for concurrent use.
 type Reseeder struct {
 	stream Stream
 }
@@ -147,7 +151,7 @@ type Reseeder struct {
 // NewReseeder returns a Reseeder with an unseeded cached generator; call
 // Reseed before drawing.
 func NewReseeder() *Reseeder {
-	return &Reseeder{stream: Stream{r: rand.New(rand.NewSource(0))}}
+	return &Reseeder{stream: Stream{r: rand.New(new(jumpSource))}}
 }
 
 // Reseed re-seeds the cached generator with seed and returns the shared
