@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"testing"
 
@@ -37,6 +35,7 @@ type invBenchReport struct {
 	GoVersion string         `json:"go_version"`
 	GOOS      string         `json:"goos"`
 	GOARCH    string         `json:"goarch"`
+	NumCPU    int            `json:"nproc"`
 	Results   []invSizeEntry `json:"results"`
 	// IndexedGrowth is the indexed cycle's ns/op ratio between the two
 	// largest ladder rungs (1.0 = flat; the linear scan's ratio tracks
@@ -178,6 +177,7 @@ func benchInventory(w io.Writer, outPath string, maxSize int) error {
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
 	}
 	for _, size := range ladder(maxSize) {
 		e := benchInventorySize(size)
@@ -196,27 +196,7 @@ func benchInventory(w io.Writer, outPath string, maxSize int) error {
 			rep.LinearGrowth = b.LinearNsPerOp / a.LinearNsPerOp
 		}
 	}
-	if outPath == "-" {
-		return writeInvBenchReport(w, rep)
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	err = writeInvBenchReport(f, rep)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("close %s: %w", outPath, cerr)
-	}
-	if err == nil {
-		_, err = fmt.Fprintf(w, "bench-inventory: wrote %s\n", outPath)
-	}
-	return err
-}
-
-func writeInvBenchReport(w io.Writer, rep invBenchReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return writeBenchReport(w, "bench-inventory", outPath, rep)
 }
 
 // ladder returns the powers of ten from 10^3 up to max, appending max

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"testing"
 
@@ -194,25 +192,5 @@ func benchKernel(w io.Writer, outPath string, seed int64) error {
 			return err
 		}
 	}
-	if outPath == "-" {
-		return writeBenchReport(w, rep)
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	err = writeBenchReport(f, rep)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("close %s: %w", outPath, cerr)
-	}
-	if err == nil {
-		_, err = fmt.Fprintf(w, "bench-kernel: wrote %s\n", outPath)
-	}
-	return err
-}
-
-func writeBenchReport(w io.Writer, rep benchReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return writeBenchReport(w, "bench-kernel", outPath, rep)
 }

@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -46,11 +50,11 @@ func TestProbeReportWritesSummary(t *testing.T) {
 
 func TestWriteBenchReportPropagatesWriteError(t *testing.T) {
 	rep := benchReport{Suite: "kernel", Results: []benchEntry{{Name: "x"}}}
-	if err := writeBenchReport(errWriter{}, rep); err == nil {
+	if err := writeBenchReport(errWriter{}, "bench-kernel", "-", rep); err == nil {
 		t.Fatal("writeBenchReport on failing writer = nil, want error")
 	}
 	var buf bytes.Buffer
-	if err := writeBenchReport(&buf, rep); err != nil {
+	if err := writeBenchReport(&buf, "bench-kernel", "-", rep); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "\"suite\": \"kernel\"") {
@@ -128,30 +132,97 @@ func TestBenchInventoryTinyRung(t *testing.T) {
 	}
 }
 
+// TestWriteInvBenchReportPropagatesWriteError writes an inventory
+// report to a file: the JSON lands in the file, nproc included, and a
+// failure to announce it on w is still an error.
 func TestWriteInvBenchReportPropagatesWriteError(t *testing.T) {
-	rep := invBenchReport{Suite: "inventory"}
-	if err := writeInvBenchReport(errWriter{}, rep); err == nil {
-		t.Fatal("writeInvBenchReport on failing writer = nil, want error")
+	rep := invBenchReport{Suite: "inventory", NumCPU: 3}
+	path := filepath.Join(t.TempDir(), "inv.json")
+	if err := writeBenchReport(errWriter{}, "bench-inventory", path, rep); err == nil {
+		t.Fatal("writeBenchReport with failing w = nil, want error")
+	}
+	var buf bytes.Buffer
+	if err := writeBenchReport(&buf, "bench-inventory", path, rep); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "bench-inventory: wrote "+path+"\n"; got != want {
+		t.Fatalf("w got %q, want %q", got, want)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "\"nproc\": 3") {
+		t.Fatalf("report file %q missing nproc", data)
+	}
+	if err := writeBenchReport(&buf, "bench-inventory", filepath.Join(path, "nodir"), rep); err == nil {
+		t.Fatal("writeBenchReport to an uncreatable path = nil, want error")
 	}
 }
 
-func TestValidateReconcileFlags(t *testing.T) {
+// TestCheckModes: each of -bench-kernel, -bench-inventory, -scale,
+// -metrics/-metrics-out and -only selects its own run, so any two
+// together are rejected with both flags named, except -scale as the
+// -bench-inventory ladder top.
+func TestCheckModes(t *testing.T) {
 	cases := []struct {
-		intervalS float64
-		depth     int
-		ok        bool
+		name string
+		o    options
+		want string // "" = accepted; else the flag pair the error names
 	}{
-		{0, 0, true},   // zero = default grid
-		{60, 0, true},  // custom interval, default depth
-		{0, 4, true},   // default grid, pinned depth
-		{60, 4, true},  // both pinned
-		{-1, 0, false}, // negative interval
-		{0, -2, false}, // negative depth
+		{"suite", options{}, ""},
+		{"only", options{only: "E6"}, ""},
+		{"metrics", options{showMetrics: true, metricsOut: "m.json"}, ""},
+		{"scale", options{scaleTo: 1000}, ""},
+		{"bench-inventory with scale", options{benchInvOut: "-", scaleTo: 500}, ""},
+		{"only+metrics", options{only: "E6", showMetrics: true}, "-metrics and -only"},
+		{"only+metrics-out", options{only: "E6", metricsOut: "m.json"}, "-metrics-out and -only"},
+		{"only+scale", options{only: "E6", scaleTo: 1000}, "-scale and -only"},
+		{"bench-kernel+only", options{benchOut: "f", only: "E6"}, "-bench-kernel and -only"},
+		{"bench-kernel+bench-inventory", options{benchOut: "f", benchInvOut: "g"}, "-bench-kernel and -bench-inventory"},
+		{"bench-inventory+metrics", options{benchInvOut: "g", showMetrics: true}, "-bench-inventory and -metrics"},
+		{"scale+metrics", options{scaleTo: 1000, showMetrics: true}, "-scale and -metrics"},
+		{"bench-inventory+scale+only", options{benchInvOut: "g", scaleTo: 500, only: "E6"}, "-bench-inventory and -only"},
 	}
 	for _, c := range cases {
-		err := validateReconcileFlags(c.intervalS, c.depth)
-		if (err == nil) != c.ok {
-			t.Errorf("validateReconcileFlags(%g, %d) = %v, want ok=%v", c.intervalS, c.depth, err, c.ok)
+		err := checkModes(c.o)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: checkModes = %v, want accepted", c.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: checkModes accepted, want an error naming %s", c.name, c.want)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: checkModes = %q, want it to name %s", c.name, err, c.want)
+		}
+	}
+}
+
+// TestExtensionArtifactsPinned pins the quick seed-1 artifacts of the
+// extension experiments to the digests computed at commit ea59ef5,
+// before the shared policy ranker and the single retry struct: neither
+// refactor may move a byte of E17, E18, E20 or E21.
+func TestExtensionArtifactsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four extension experiments")
+	}
+	want := map[string]string{
+		"E17": "8704df7bc833eae594998565ccb04353d9d9a51b556257f14371017eadfa7943",
+		"E18": "4446ccb933d5278cb3d4fe25f7ee9761ba21207c51107a145bbee3a45bdfed39",
+		"E20": "8dafb910809a269439a584e364121ff7d8facdf34cae7ed5d8cdc79e261e57af",
+		"E21": "0d02ef2441c7a8e6a43b50c9cc3c9b882ed2e41e9aeadf0a2e3236980fd1ef90",
+	}
+	for _, id := range []string{"E17", "E18", "E20", "E21"} {
+		var buf bytes.Buffer
+		if err := run(&buf, options{seed: 1, quick: true, only: id}); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want[id] {
+			t.Errorf("%s artifact digest %s, want %s", id, got, want[id])
 		}
 	}
 }

@@ -223,9 +223,9 @@ func New(cfg Config) (*Cloud, error) {
 		}
 		mcfg.Faults = inj
 		if mcfg.Retry == (mgmt.RetryPolicy{}) {
-			// The policy set's retry spec; the default set's "fixed"
-			// spec is mgmt.DefaultRetryPolicy() field-for-field.
-			mcfg.Retry = retryFromSpec(pol.Retry)
+			// The policy set's retry policy; the default set's is
+			// mgmt.DefaultRetryPolicy().
+			mcfg.Retry = pol.Retry
 		}
 	}
 	if cfg.Plane == (plane.Config{}) {
@@ -266,20 +266,6 @@ func New(cfg Config) (*Cloud, error) {
 		c.rec.Start()
 	}
 	return c, nil
-}
-
-// retryFromSpec translates a policy retry spec into mgmt's policy
-// struct (policy cannot import mgmt without a cycle). The default
-// "fixed" spec maps onto mgmt.DefaultRetryPolicy() exactly.
-func retryFromSpec(s policy.RetrySpec) mgmt.RetryPolicy {
-	return mgmt.RetryPolicy{
-		MaxAttempts:         s.MaxAttempts,
-		BaseBackoff:         s.BaseBackoffS,
-		Multiplier:          s.Multiplier,
-		DeterministicJitter: s.Jitter,
-		Deadline:            s.DeadlineS,
-		Adaptive:            s.Adaptive,
-	}
 }
 
 // Policy returns the resolved policy set the cloud was assembled with,

@@ -18,7 +18,7 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
+	"strconv"
 
 	"cloudmcp/internal/analysis"
 	"cloudmcp/internal/clouddir"
@@ -180,63 +180,16 @@ func RunE21(p E21Params) (*E21Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &E21Result{Cells: cells, Failovers: failovers}
-	res.Ranking = e21Rank(p.Policies, cells)
-	return res, nil
-}
-
-// e21Rank scores each policy by its mean goodput normalized within
-// every scenario × fault-rate group (group winner = 1.0), so easy
-// regimes cannot drown hard ones. Rank order: score desc, name asc —
-// a total order, so the ranking is identical at any worker count.
-func e21Rank(policies []string, cells []E21Cell) []report.PolicyRow {
-	type groupKey struct {
-		scenario string
-		rate     float64
-	}
-	groupMax := make(map[groupKey]float64)
-	for _, c := range cells {
-		k := groupKey{c.Scenario, c.FaultRate}
-		if c.GoodPerHour > groupMax[k] {
-			groupMax[k] = c.GoodPerHour
+	// Goodput is normalized within each scenario × fault-rate group, so
+	// easy regimes cannot drown hard ones.
+	pc := make([]report.PolicyCell, len(cells))
+	for i, c := range cells {
+		pc[i] = report.PolicyCell{
+			Policy: c.Policy, Group: c.Scenario + "\x00" + strconv.FormatFloat(c.FaultRate, 'g', -1, 64),
+			GoodPerHour: c.GoodPerHour, P99S: c.P99S, Moves: c.Moves, Errors: c.Errors,
 		}
 	}
-	rows := make([]report.PolicyRow, 0, len(policies))
-	for _, pol := range policies {
-		var row report.PolicyRow
-		row.Policy = pol
-		var n int
-		for _, c := range cells {
-			if c.Policy != pol {
-				continue
-			}
-			n++
-			if m := groupMax[groupKey{c.Scenario, c.FaultRate}]; m > 0 {
-				row.Score += c.GoodPerHour / m
-			}
-			row.GoodPerHour += c.GoodPerHour
-			row.P99S += c.P99S
-			row.Moves += float64(c.Moves)
-			row.Errors += int64(c.Errors)
-		}
-		if n > 0 {
-			row.Score /= float64(n)
-			row.GoodPerHour /= float64(n)
-			row.P99S /= float64(n)
-			row.Moves /= float64(n)
-		}
-		rows = append(rows, row)
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Score != rows[j].Score {
-			return rows[i].Score > rows[j].Score
-		}
-		return rows[i].Policy < rows[j].Policy
-	})
-	for i := range rows {
-		rows[i].Rank = i + 1
-	}
-	return rows
+	return &E21Result{Cells: cells, Failovers: failovers, Ranking: report.RankPolicies(p.Policies, pc)}, nil
 }
 
 // e21FailoverStorm deploys a powered-on fleet under one policy set,

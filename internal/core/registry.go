@@ -85,8 +85,8 @@ func Experiments() []Experiment {
 // management-plane topology, E19 scales the inventory itself, E20
 // turns on the reconciliation plane, and E21 races policy sets; folding
 // any of them into RunAll would grow the default artifact. They run via
-// RunExperiment (mcpbench -only E17/E18/E19/E20/E21), mcpbench -faults,
-// mcpbench -shards, mcpbench -scale, or mcpbench -reconcile instead.
+// RunExperiment (mcpbench -only E17/E18/E19/E20/E21) instead, E19's
+// larger ladders via mcpbench -scale.
 func Extensions() []Experiment {
 	return []Experiment{
 		{"E17", func(seed int64, scale float64, workers int) (Renderable, error) {

@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"cloudmcp/internal/inventory"
+	"cloudmcp/internal/mgmt"
 )
 
 // PlacementPolicy scores hosts and datastores for initial placement.
@@ -43,21 +44,6 @@ type FailoverPolicy interface {
 	PickTarget(inv *inventory.Inventory, vm *inventory.VM) *inventory.Host
 }
 
-// RetrySpec parameterizes mgmt's fault-retry loop. It mirrors
-// mgmt.RetryPolicy field-for-field (policy cannot import mgmt without
-// a cycle); core translates it when faults are enabled.
-type RetrySpec struct {
-	Name         string
-	MaxAttempts  int
-	BaseBackoffS float64
-	Multiplier   float64
-	Jitter       float64
-	DeadlineS    float64
-	// Adaptive scales backoff by the observed plane-wide fault ratio:
-	// the more faults the plane has seen, the longer retries back off.
-	Adaptive bool
-}
-
 // AdmissionPolicy sizes the plane's in-flight admission limit from the
 // configured base and the deployment shape.
 type AdmissionPolicy interface {
@@ -72,7 +58,7 @@ type Set struct {
 	Place     PlacementPolicy
 	Move      MovePolicy
 	Failover  FailoverPolicy
-	Retry     RetrySpec
+	Retry     mgmt.RetryPolicy
 	Admission AdmissionPolicy
 }
 

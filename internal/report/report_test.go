@@ -293,3 +293,32 @@ func TestReconcileTableZeroRuns(t *testing.T) {
 		t.Fatalf("controller name missing:\n%s", out)
 	}
 }
+
+// TestRankPolicies: goodput is normalized within each group before it is
+// averaged, so "b"'s win in the big group counts no more than "a"'s in
+// the small one; their equal scores then fall back to name order.
+func TestRankPolicies(t *testing.T) {
+	cells := []PolicyCell{
+		{Policy: "b", Group: "small", GoodPerHour: 50, P99S: 2, Moves: 1, Errors: 1},
+		{Policy: "b", Group: "big", GoodPerHour: 1000, P99S: 4, Moves: 3, Errors: 2},
+		{Policy: "a", Group: "small", GoodPerHour: 100, P99S: 1},
+		{Policy: "a", Group: "big", GoodPerHour: 500, P99S: 3},
+		{Policy: "c", Group: "small", GoodPerHour: 100},
+		{Policy: "c", Group: "big", GoodPerHour: 1000},
+	}
+	got := RankPolicies([]string{"z", "b", "a", "c"}, cells)
+	want := []PolicyRow{
+		{Rank: 1, Policy: "c", Score: 1, GoodPerHour: 550},
+		{Rank: 2, Policy: "a", Score: 0.75, GoodPerHour: 300, P99S: 2},
+		{Rank: 3, Policy: "b", Score: 0.75, GoodPerHour: 525, P99S: 3, Moves: 2, Errors: 3},
+		{Rank: 4, Policy: "z"}, // no cells: zero score, ranked last
+	}
+	if len(got) != len(want) {
+		t.Fatalf("RankPolicies = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
