@@ -31,12 +31,8 @@ type invSizeEntry struct {
 }
 
 type invBenchReport struct {
-	Suite     string         `json:"suite"`
-	GoVersion string         `json:"go_version"`
-	GOOS      string         `json:"goos"`
-	GOARCH    string         `json:"goarch"`
-	NumCPU    int            `json:"nproc"`
-	Results   []invSizeEntry `json:"results"`
+	benchEnv
+	Results []invSizeEntry `json:"results"`
 	// IndexedGrowth is the indexed cycle's ns/op ratio between the two
 	// largest ladder rungs (1.0 = flat; the linear scan's ratio tracks
 	// the size ratio instead). The repo's acceptance bar is < 2 for the
@@ -172,13 +168,7 @@ func benchInventorySize(size int) invSizeEntry {
 // report to outPath ("-" for w itself). A one-line summary per rung goes
 // to w as it completes.
 func benchInventory(w io.Writer, outPath string, maxSize int) error {
-	rep := invBenchReport{
-		Suite:     "inventory",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-	}
+	rep := invBenchReport{benchEnv: newBenchEnv("inventory")}
 	for _, size := range ladder(maxSize) {
 		e := benchInventorySize(size)
 		rep.Results = append(rep.Results, e)

@@ -12,38 +12,11 @@ import (
 	"cloudmcp/internal/sim"
 )
 
-// The kernel micro-benchmark suite behind -bench-kernel: the same hot
-// paths the internal/sim, internal/rng and internal/faults
-// BenchmarkKernel* functions cover, run through testing.Benchmark so a
-// CLI invocation (or the CI perf-smoke job) can emit machine-readable
-// numbers without the test harness. The emitted JSON also carries the
-// recorded before/after allocation counts for the E6 closed loop on the
-// commit that introduced the pooled kernel, so the reduction the change
-// bought stays visible next to freshly measured numbers.
-
-// e6Reference pins the E6 closed-loop allocation counts measured with
-// `go test -bench=E6_Throughput -benchmem` at seed 1, HorizonS 900:
-// the pre-optimization baseline, the first pooled-kernel pass (event
-// and waiter free lists), and the second pass (lock-frame and
-// lock-resource recycling in mgmt, parked process-goroutine reuse in
-// sim, deploy-frame pooling in clouddir).
-var e6Reference = struct {
-	BaselineAllocsPerOp int64   `json:"baseline_allocs_per_op"`
-	BaselineBytesPerOp  int64   `json:"baseline_bytes_per_op"`
-	PooledAllocsPerOp   int64   `json:"pooled_allocs_per_op"`
-	PooledBytesPerOp    int64   `json:"pooled_bytes_per_op"`
-	Pooled2AllocsPerOp  int64   `json:"pooled_v2_allocs_per_op"`
-	Pooled2BytesPerOp   int64   `json:"pooled_v2_bytes_per_op"`
-	AllocsReductionPct  float64 `json:"allocs_reduction_pct"`
-}{
-	BaselineAllocsPerOp: 436711,
-	BaselineBytesPerOp:  21279712,
-	PooledAllocsPerOp:   156127,
-	PooledBytesPerOp:    15350688,
-	Pooled2AllocsPerOp:  92151,
-	Pooled2BytesPerOp:   13368636,
-	AllocsReductionPct:  78.9,
-}
+// The kernel micro-benchmark suite: the only copy of each kernel
+// hot-path benchmark body. -bench-kernel runs it through
+// testing.Benchmark so a CLI invocation (or the CI perf-smoke job) can
+// emit machine-readable numbers without the test harness, and
+// BenchmarkKernel runs the same entries under go test -bench.
 
 type benchEntry struct {
 	Name        string  `json:"name"`
@@ -53,15 +26,23 @@ type benchEntry struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
+// benchEnv heads every bench report: the suite and the machine it ran on.
+type benchEnv struct {
+	Suite     string `json:"suite"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	NumCPU    int    `json:"nproc"`
+}
+
+func newBenchEnv(suite string) benchEnv {
+	return benchEnv{suite, runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.NumCPU()}
+}
+
 type benchReport struct {
-	Suite     string       `json:"suite"`
-	GoVersion string       `json:"go_version"`
-	GOOS      string       `json:"goos"`
-	GOARCH    string       `json:"goarch"`
-	NumCPU    int          `json:"nproc"`
-	Seed      int64        `json:"seed"`
-	Results   []benchEntry `json:"results"`
-	E6        interface{}  `json:"e6_closed_loop_reference"`
+	benchEnv
+	Seed    int64        `json:"seed"`
+	Results []benchEntry `json:"results"`
 }
 
 func runBench(name string, fn func(b *testing.B)) benchEntry {
@@ -75,16 +56,15 @@ func runBench(name string, fn func(b *testing.B)) benchEntry {
 	}
 }
 
-// kernelBenches returns the suite. Split out so a test can run it with a
-// tiny iteration budget.
-func kernelBenches(seed int64) []struct {
+// kernelBench is one row of the kernel suite.
+type kernelBench struct {
 	name string
 	fn   func(b *testing.B)
-} {
-	return []struct {
-		name string
-		fn   func(b *testing.B)
-	}{
+}
+
+// kernelBenches returns the suite in BENCH_kernel.json row order.
+func kernelBenches(seed int64) []kernelBench {
+	return []kernelBench{
 		{"kernel/schedule_fire", func(b *testing.B) {
 			env := sim.NewEnv()
 			fn := func() {}
@@ -102,6 +82,20 @@ func kernelBenches(seed int64) []struct {
 				tm := env.Schedule(1, fn)
 				tm.Stop()
 			}
+		}},
+		{"kernel/heap_schedule", func(b *testing.B) {
+			// Future-dated events exercise the heap rather than the
+			// same-time queue: schedule a ladder, then drain.
+			env := sim.NewEnv()
+			fn := func() {}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				env.Schedule(1+sim.Time(i%16), fn)
+				if i%16 == 15 {
+					env.Run(sim.Forever)
+				}
+			}
+			env.Run(sim.Forever)
 		}},
 		{"kernel/switch", func(b *testing.B) {
 			// Two processes alternating on a queue: each op passes the
@@ -133,14 +127,20 @@ func kernelBenches(seed int64) []struct {
 			env := sim.NewEnv()
 			res := sim.NewResource(env, "r", 1)
 			b.ReportAllocs()
+			done := false
 			env.Go("worker", func(p *sim.Proc) {
 				for i := 0; i < b.N; i++ {
 					res.Acquire(p, 1)
 					p.Sleep(1)
 					res.Release(1)
 				}
+				done = true
 			})
+			b.ResetTimer()
 			env.Run(sim.Forever)
+			if !done {
+				b.Fatal("worker did not finish")
+			}
 		}},
 		{"rng/reseed", func(b *testing.B) {
 			// One per-decision stream: re-seed, then one draw.
@@ -175,15 +175,7 @@ func kernelBenches(seed int64) []struct {
 // report to outPath ("-" for w itself). A one-line summary per benchmark
 // goes to w as it completes.
 func benchKernel(w io.Writer, outPath string, seed int64) error {
-	rep := benchReport{
-		Suite:     "kernel",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Seed:      seed,
-		E6:        e6Reference,
-	}
+	rep := benchReport{benchEnv: newBenchEnv("kernel"), Seed: seed}
 	for _, bb := range kernelBenches(seed) {
 		e := runBench(bb.name, bb.fn)
 		rep.Results = append(rep.Results, e)

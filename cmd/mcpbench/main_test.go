@@ -49,7 +49,7 @@ func TestProbeReportWritesSummary(t *testing.T) {
 }
 
 func TestWriteBenchReportPropagatesWriteError(t *testing.T) {
-	rep := benchReport{Suite: "kernel", Results: []benchEntry{{Name: "x"}}}
+	rep := benchReport{benchEnv: benchEnv{Suite: "kernel"}, Results: []benchEntry{{Name: "x"}}}
 	if err := writeBenchReport(errWriter{}, "bench-kernel", "-", rep); err == nil {
 		t.Fatal("writeBenchReport on failing writer = nil, want error")
 	}
@@ -136,7 +136,7 @@ func TestBenchInventoryTinyRung(t *testing.T) {
 // report to a file: the JSON lands in the file, nproc included, and a
 // failure to announce it on w is still an error.
 func TestWriteInvBenchReportPropagatesWriteError(t *testing.T) {
-	rep := invBenchReport{Suite: "inventory", NumCPU: 3}
+	rep := invBenchReport{benchEnv: benchEnv{Suite: "inventory", NumCPU: 3}}
 	path := filepath.Join(t.TempDir(), "inv.json")
 	if err := writeBenchReport(errWriter{}, "bench-inventory", path, rep); err == nil {
 		t.Fatal("writeBenchReport with failing w = nil, want error")
@@ -202,27 +202,61 @@ func TestCheckModes(t *testing.T) {
 	}
 }
 
-// TestExtensionArtifactsPinned pins the quick seed-1 artifacts of the
-// extension experiments to the digests computed at commit ea59ef5,
-// before the shared policy ranker and the single retry struct: neither
-// refactor may move a byte of E17, E18, E20 or E21.
-func TestExtensionArtifactsPinned(t *testing.T) {
+// TestArtifactsPinned pins the quick seed-1 artifacts to the digests
+// computed at commit ea59ef5: the E1..E16 suite, which BenchmarkSuite
+// prints too, and the extension experiments E17, E18, E20 and E21.
+func TestArtifactsPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four extension experiments")
+		t.Skip("runs the quick suite and four extension experiments")
 	}
-	want := map[string]string{
-		"E17": "8704df7bc833eae594998565ccb04353d9d9a51b556257f14371017eadfa7943",
-		"E18": "4446ccb933d5278cb3d4fe25f7ee9761ba21207c51107a145bbee3a45bdfed39",
-		"E20": "8dafb910809a269439a584e364121ff7d8facdf34cae7ed5d8cdc79e261e57af",
-		"E21": "0d02ef2441c7a8e6a43b50c9cc3c9b882ed2e41e9aeadf0a2e3236980fd1ef90",
+	cases := []struct {
+		name string
+		o    options
+		want string
+	}{
+		{"suite", options{seed: 1, quick: true}, "d01e3e7a130e22ddd52eca02828d97a5cfbbe91797efec1212a141cc8bc078b3"},
+		{"E17", options{seed: 1, quick: true, only: "E17"}, "8704df7bc833eae594998565ccb04353d9d9a51b556257f14371017eadfa7943"},
+		{"E18", options{seed: 1, quick: true, only: "E18"}, "4446ccb933d5278cb3d4fe25f7ee9761ba21207c51107a145bbee3a45bdfed39"},
+		{"E20", options{seed: 1, quick: true, only: "E20"}, "8dafb910809a269439a584e364121ff7d8facdf34cae7ed5d8cdc79e261e57af"},
+		{"E21", options{seed: 1, quick: true, only: "E21"}, "0d02ef2441c7a8e6a43b50c9cc3c9b882ed2e41e9aeadf0a2e3236980fd1ef90"},
 	}
-	for _, id := range []string{"E17", "E18", "E20", "E21"} {
+	for _, c := range cases {
 		var buf bytes.Buffer
-		if err := run(&buf, options{seed: 1, quick: true, only: id}); err != nil {
-			t.Fatalf("%s: %v", id, err)
+		if err := run(&buf, c.o); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want[id] {
-			t.Errorf("%s artifact digest %s, want %s", id, got, want[id])
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.want {
+			t.Errorf("%s artifact digest %s, want %s", c.name, got, c.want)
 		}
+	}
+}
+
+// TestFullSuiteMatchesCheckedIn: the full-scale seed-1 suite is
+// byte-identical to bench_full_output.txt, the file EXPERIMENTS.md
+// quotes.
+func TestFullSuiteMatchesCheckedIn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full-scale suite")
+	}
+	want, err := os.ReadFile("../../bench_full_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, options{seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("mcpbench -seed 1 differs from bench_full_output.txt; diff the two to see where")
+	}
+}
+
+// BenchmarkKernel runs the kernel suite behind -bench-kernel under the
+// test harness:
+//
+//	go test -run '^$' -bench=Kernel -benchmem ./cmd/mcpbench
+func BenchmarkKernel(b *testing.B) {
+	for _, kb := range kernelBenches(1) {
+		b.Run(kb.name, kb.fn)
 	}
 }

@@ -4,7 +4,11 @@
 // .jsonl (JSON lines) or .csv.
 //
 //	mcpgen -profile cloud-a -hours 48 -o cloud-a.jsonl
-//	mcpgen -profile cloud-b -hours 48 -fast=false -o cloud-b-full.csv
+//	mcpgen -profile cloud-b -hours 48 -set director.fastProvisioning=false -o cloud-b-full.csv
+//
+// The simulated cloud is the -config scenario (or the defaults), then
+// -seed if given, then each -set key=value in order; -set takes any key
+// path mcpsim -dump-config prints.
 //
 // Traces are consumed by cmd/mcpchar or any external tooling.
 package main
@@ -25,22 +29,18 @@ func main() {
 	var (
 		profileName = flag.String("profile", "cloud-a", "workload profile: cloud-a, cloud-b, classic-dc")
 		hours       = flag.Float64("hours", 24, "simulated hours")
-		seed        = flag.Int64("seed", 1, "master random seed")
-		fast        = flag.Bool("fast", true, "use fast provisioning (linked clones)")
 		out         = flag.String("o", "trace.jsonl", "output file (.jsonl or .csv)")
 	)
-	flag.Parse()
-
+	cfg, err := parseConfig(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
 	profile, err := workload.ByName(*profileName)
 	if err != nil {
 		fatal(err)
 	}
-	cfg := core.DefaultConfig(*seed)
-	cfg.Director.FastProvisioning = *fast
-	// Records stream straight to the output file as tasks complete (the
-	// trace.Writer byte-identity test guarantees the artifact is the same
-	// as the old accumulate-then-dump path), so a 48-hour trace never
-	// holds every record in memory.
+	// Records stream straight to the output file as tasks complete, so
+	// a 48-hour trace never holds every record in memory.
 	cfg.Record = false
 	cloud, err := core.New(cfg)
 	if err != nil {
@@ -62,6 +62,19 @@ func main() {
 	}
 	fmt.Printf("mcpgen: wrote %d records (%d vApp requests over %.1f h of %s) to %s\n",
 		sw.N(), st.Arrivals, *hours, profile.Name, *out)
+}
+
+// parseConfig adds -config, -seed and -set to fs, parses args and
+// assembles the run's Config from them.
+func parseConfig(fs *flag.FlagSet, args []string) (core.Config, error) {
+	var sets core.Assignments
+	configPath := fs.String("config", "", "JSON scenario file (default: the built-in defaults)")
+	fs.Int64("seed", 1, "master random seed (alias of -set seed=N)")
+	fs.Var(&sets, "set", "key=value scenario override, applied last (repeatable; keys as printed by mcpsim -dump-config)")
+	if err := fs.Parse(args); err != nil {
+		return core.Config{}, err
+	}
+	return core.ConfigFromFlags(fs, *configPath, sets)
 }
 
 // openTrace creates the output file and a streaming writer in the format

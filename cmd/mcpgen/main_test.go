@@ -2,9 +2,12 @@ package main
 
 import (
 	"errors"
+	"flag"
+	"io"
 	"strings"
 	"testing"
 
+	"cloudmcp/internal/core"
 	"cloudmcp/internal/trace"
 )
 
@@ -98,5 +101,37 @@ func TestOpenTraceRejectsUnknownExtension(t *testing.T) {
 	if _, _, err := openTrace(t.TempDir() + "/out.xml"); err == nil ||
 		!strings.Contains(err.Error(), "unknown trace extension") {
 		t.Fatalf("got %v, want unknown-extension error", err)
+	}
+}
+
+// The trace's cloud follows -config, -seed and -set: the defaults
+// provision with linked clones, and -set director.fastProvisioning=false
+// gives the full-clone trace.
+func TestSetReachesConfig(t *testing.T) {
+	parse := func(args ...string) (core.Config, error) {
+		fs := flag.NewFlagSet("mcpgen", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		return parseConfig(fs, args)
+	}
+	cfg, err := parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cfg.Director.FastProvisioning || cfg.Seed != 1 {
+		t.Fatalf("defaults: fast=%v seed=%d, want true/1", cfg.Director.FastProvisioning, cfg.Seed)
+	}
+	cfg, err = parse("-config", "../../scenarios/default.json", "-seed", "7",
+		"-set", "director.fastProvisioning=false")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Director.FastProvisioning || cfg.Seed != 7 {
+		t.Fatalf("fast=%v seed=%d, want false/7", cfg.Director.FastProvisioning, cfg.Seed)
+	}
+	if _, err := parse("-set", "director.fastProvisioninq=false"); err == nil {
+		t.Fatal("-set with an unknown key was accepted")
+	}
+	if _, err := parse("-fast=false"); err == nil {
+		t.Fatal("-fast was accepted; the full-clone trace is -set director.fastProvisioning=false")
 	}
 }

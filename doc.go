@@ -7,8 +7,9 @@
 // The public entry point is internal/core (package core), which
 // assembles the full simulated stack; see README.md for the repository
 // map and DESIGN.md for the system inventory and the reconstructed
-// experiment index. The benchmarks in bench_test.go regenerate every
-// table and figure; run them with:
+// experiment index. BenchmarkSuite in bench_test.go runs the E1..E16
+// suite from the experiment registry and prints every table and figure,
+// the same bytes as cmd/mcpbench -quick -seed 1:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchtime=1x .
 package cloudmcp

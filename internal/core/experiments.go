@@ -4,8 +4,9 @@ package core
 // suite E1..E12 (see DESIGN.md for the experiment index). Each experiment
 // is a pure function of its parameter struct: it builds fresh Cloud
 // instances, drives them, and returns a structured result that renders as
-// the paper-style table or figure. The benchmarks in bench_test.go and
-// cmd/mcpbench both call these.
+// the paper-style table or figure. The registry in registry.go holds
+// each one's default parameters; cmd/mcpbench and the repository's
+// BenchmarkSuite both run them through it.
 
 import (
 	"fmt"

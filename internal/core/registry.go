@@ -1,10 +1,8 @@
 package core
 
 // The experiment registry: one table of (name, default params) shared by
-// cmd/mcpbench -only, RunAll, and anything else that wants "the suite".
-// Before this existed the per-experiment default horizons were
-// copy-pasted between mcpbench's runOne switch and RunAll's step list and
-// had already drifted in the docs; now they live here once.
+// cmd/mcpbench -only, RunAll, the repository's BenchmarkSuite, and
+// anything else that wants "the suite".
 
 import (
 	"fmt"

@@ -141,14 +141,3 @@ func TestDecideAllocFree(t *testing.T) {
 		t.Fatalf("JitterU allocates %.1f/op, want 0", allocs)
 	}
 }
-
-func BenchmarkKernelFaultDecide(b *testing.B) {
-	in, err := New(42, Preset(0.3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = in.Decide(LayerHost, "deploy", int64(i), 1)
-	}
-}

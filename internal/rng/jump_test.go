@@ -113,13 +113,3 @@ func FuzzReseederMatchesNew(f *testing.F) {
 		}
 	})
 }
-
-// BenchmarkKernelReseed is the per-decision stream cost: re-seed, then
-// one draw (the rng/reseed row of mcpbench -bench-kernel).
-func BenchmarkKernelReseed(b *testing.B) {
-	rs := NewReseeder()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = rs.Reseed(int64(i)).Float64()
-	}
-}

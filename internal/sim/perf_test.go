@@ -64,7 +64,9 @@ func TestDebugEventsLeaveStdoutClean(t *testing.T) {
 // The kernel's steady-state scheduling paths must not allocate: events
 // are pooled, wakeups carry the process on the event instead of a
 // closure, and resource waiters are recycled. These guards pin the
-// allocation count at zero so a regression fails loudly.
+// allocation count at zero so a regression fails loudly. The timing
+// benchmarks for the same paths are the kernel/* rows of cmd/mcpbench's
+// kernel suite (go test -run '^$' -bench=Kernel ./cmd/mcpbench).
 
 func TestScheduleAllocFree(t *testing.T) {
 	env := NewEnv()
@@ -255,98 +257,5 @@ func TestNowQueueStop(t *testing.T) {
 	}
 	if env.Pending() != 0 {
 		t.Fatalf("Pending = %d after drain", env.Pending())
-	}
-}
-
-// Benchmarks for the kernel hot paths; run with
-//
-//	go test -bench=Kernel -benchmem ./internal/sim
-//
-// and compare against BENCH_kernel.json (emitted by mcpbench
-// -bench-kernel). The allocs/op columns should stay at 0 for the
-// steady-state paths.
-
-func BenchmarkKernelScheduleFire(b *testing.B) {
-	env := NewEnv()
-	fn := func() {}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		env.Schedule(0, fn)
-		env.Run(Forever)
-	}
-}
-
-func BenchmarkKernelTimerStop(b *testing.B) {
-	env := NewEnv()
-	fn := func() {}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tm := env.Schedule(1, fn)
-		tm.Stop()
-	}
-}
-
-func BenchmarkKernelHeapSchedule(b *testing.B) {
-	// Future-dated events exercise the heap rather than the same-time
-	// queue: schedule a ladder, then drain.
-	env := NewEnv()
-	fn := func() {}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		env.Schedule(1+Time(i%16), fn)
-		if i%16 == 15 {
-			env.Run(Forever)
-		}
-	}
-	env.Run(Forever)
-}
-
-func BenchmarkKernelProcessPingPong(b *testing.B) {
-	// Two processes alternating on a queue: the classic block/resume
-	// cycle, two baton handoffs (one each way) per Put/Get.
-	env := NewEnv()
-	q := NewQueue(env)
-	stop := false
-	env.Go("producer", func(p *Proc) {
-		for !stop {
-			q.Put(1)
-			p.Sleep(1)
-		}
-	})
-	var n int
-	env.Go("consumer", func(p *Proc) {
-		for !stop {
-			q.Get(p)
-			n++
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	env.Schedule(Time(b.N), func() { stop = true; env.Stop() })
-	env.Run(Forever)
-	b.StopTimer()
-	// Let the blocked processes drain so the env's goroutines exit.
-	stop = true
-	q.Put(1)
-	env.Run(Forever)
-}
-
-func BenchmarkKernelResourceCycle(b *testing.B) {
-	env := NewEnv()
-	res := NewResource(env, "r", 1)
-	b.ReportAllocs()
-	var done bool
-	env.Go("worker", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			res.Acquire(p, 1)
-			p.Sleep(1)
-			res.Release(1)
-		}
-		done = true
-	})
-	b.ResetTimer()
-	env.Run(Forever)
-	if !done {
-		b.Fatal("worker did not finish")
 	}
 }
